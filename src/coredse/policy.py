@@ -13,6 +13,8 @@ there is no autodiff anywhere.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -193,7 +195,6 @@ class CompoundAction:
     """One raw value per parameter; category indices stored as floats."""
 
     raw: np.ndarray
-    log_prob: float
 
 
 @dataclass
@@ -247,20 +248,24 @@ def mlp_forward(params: PolicyParams, s0: np.ndarray):
     raise AssertionError("unreachable")
 
 
-def mlp_backward(params: PolicyParams, cache, g_out: np.ndarray):
-    """Gradient of a scalar wrt every weight and bias, given d(scalar)/d(raw out)."""
+def mlp_backward(params: PolicyParams, cache, g_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradient of a scalar wrt every weight and bias, given d(scalar)/d(raw out).
+
+    With one context vector every weight gradient has rank 1, so each layer
+    is returned as its factors (delta, h), in layer order: the weight
+    gradient is ``np.outer(delta, h)`` and the bias gradient is delta.
+    h is the layer's input from the forward cache; neither is a copy.
+    """
     inputs, pres = cache
     n = len(params.weights)
-    g_w = [None] * n
-    g_b = [None] * n
+    factors = [None] * n
     g = g_out
     for layer in range(n - 1, -1, -1):
-        g_w[layer] = np.outer(g, inputs[layer])
-        g_b[layer] = g.copy()
+        factors[layer] = (g, inputs[layer])
         if layer > 0:
             g = params.weights[layer].T @ g
             g = g * (pres[layer - 1] > 0.0)
-    return g_w, g_b
+    return factors
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -329,8 +334,7 @@ def sample(dists: DistributionSet, rng: np.random.Generator) -> CompoundAction:
             idx = int(np.searchsorted(cum, u, side="right"))
             raw[i] = min(idx, layout.cat_k[i] - 1)
             ci += 1
-    action = CompoundAction(raw=raw, log_prob=0.0)
-    return CompoundAction(raw=raw, log_prob=log_prob(dists, action))
+    return CompoundAction(raw=raw)
 
 
 def log_prob(dists: DistributionSet, action: CompoundAction) -> float:
@@ -447,7 +451,7 @@ def save_params(params: PolicyParams, path: str) -> None:
             fh.write(struct.pack("<Q", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_params(path: str) -> PolicyParams:
@@ -460,13 +464,15 @@ def load_params(path: str) -> PolicyParams:
         for _ in range(count):
             (ndim,) = struct.unpack("<Q", fh.read(8))
             shapes.append(struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)))
+        values = sum(math.prod(shape) for shape in shapes)
+        if 8 * values > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"{path}: truncated checkpoint")
         arrays = []
         for shape in shapes:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"{path}: truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            arrays.append(arr)
     if len(arrays) % 2 != 0:
         raise ValueError(f"{path}: expected weight/bias pairs, got {len(arrays)} arrays")
     weights = arrays[0::2]

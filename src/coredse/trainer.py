@@ -58,6 +58,7 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam step
 
 
 @dataclass(frozen=True)
@@ -221,16 +222,69 @@ def _fresh_state(problem: Problem, cfg: TrainConfig) -> _LoopState:
     )
 
 
-def _adam_ascend(state: _LoopState, grads: list[np.ndarray], lr: float) -> None:
+def _row_blocks(n_rows: int, n_cols: int):
+    """(rows, cols) slices that cover an n_rows x n_cols array in blocks.
+
+    A block holds at most ADAM_BLOCK elements: whole rows where a row fits,
+    otherwise one row split into column ranges. Basic slices always give
+    views, whatever the array's strides, so updates through them land.
+    """
+    if n_cols <= ADAM_BLOCK:
+        step = ADAM_BLOCK // n_cols
+        for r0 in range(0, n_rows, step):
+            yield slice(r0, min(r0 + step, n_rows)), slice(None)
+    else:
+        for r in range(n_rows):
+            for c0 in range(0, n_cols, ADAM_BLOCK):
+                yield slice(r, r + 1), slice(c0, min(c0 + ADAM_BLOCK, n_cols))
+
+
+def _adam_block(p, m, v, g, s1, s2, lr: float, c1: float, c2: float) -> None:
+    """Adam on one block, in place in p, m and v; s1 and s2 are scratch of g's shape."""
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1 - ADAM_BETA1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1 - ADAM_BETA2, out=s1)
+    np.multiply(s1, g, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(v, c2, out=s1)
+    np.sqrt(s1, out=s1)
+    np.add(s1, ADAM_EPS, out=s1)
+    np.divide(m, c1, out=s2)
+    np.multiply(s2, lr, out=s2)
+    np.divide(s2, s1, out=s2)
+    np.add(p, s2, out=p)
+
+
+def _adam_ascend(state: _LoopState, factors: list[tuple[np.ndarray, np.ndarray]], lr: float) -> None:
+    """One Adam ascent step, in place, from each layer's gradient factors.
+
+    Layer l's weight gradient is outer(delta_l, h_l) and its bias gradient
+    is delta_l (see `mlp_backward`). Weights, biases and both moments are
+    updated block by block through views, and each weight-gradient block is
+    formed in reused scratch, so the step allocates nothing of the arrays'
+    size. Each element gets the IEEE operations, in the same order, of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p += lr*(m/c1) / (sqrt(v/c2) + eps)``.
+    """
     state.adam_step += 1
     t = state.adam_step
-    arrays = state.params.arrays()
-    for i, g in enumerate(grads):
-        state.adam_m[i] = ADAM_BETA1 * state.adam_m[i] + (1 - ADAM_BETA1) * g
-        state.adam_v[i] = ADAM_BETA2 * state.adam_v[i] + (1 - ADAM_BETA2) * g * g
-        mhat = state.adam_m[i] / (1 - ADAM_BETA1**t)
-        vhat = state.adam_v[i] / (1 - ADAM_BETA2**t)
-        arrays[i] += lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    c1 = 1 - ADAM_BETA1**t
+    c2 = 1 - ADAM_BETA2**t
+    scratch = [np.empty(ADAM_BLOCK) for _ in range(3)]
+    params, m, v = state.params, state.adam_m, state.adam_v
+    for layer, (delta, h) in enumerate(factors):
+        w, b = params.weights[layer], params.biases[layer]
+        iw, ib = 2 * layer, 2 * layer + 1
+        for rows, cols in _row_blocks(*w.shape):
+            d, x = delta[rows], h[cols]
+            g, s1, s2 = (buf[: d.size * x.size].reshape(d.size, x.size) for buf in scratch)
+            np.outer(d, x, out=g)
+            _adam_block(w[rows, cols], m[iw][rows, cols], v[iw][rows, cols], g, s1, s2, lr, c1, c2)
+        for rows, _ in _row_blocks(b.size, 1):
+            d = delta[rows]
+            s1, s2 = (buf[: d.size] for buf in scratch[1:])
+            _adam_block(b[rows], m[ib][rows], v[ib][rows], d, s1, s2, lr, c1, c2)
 
 
 def _shaped_reward(
@@ -346,11 +400,8 @@ def train(
             dists, dists, actions, advs, rcfg.beta_r, beta_e
         )
         g_out = head_backward(dists, d_alpha, d_beta, d_logits)
-        g_w, g_b = mlp_backward(state.params, cache, g_out)
-        grads = [None] * (2 * len(g_w))
-        grads[0::2] = g_w
-        grads[1::2] = g_b
-        _adam_ascend(state, grads, cfg.learning_rate)
+        factors = mlp_backward(state.params, cache, g_out)
+        _adam_ascend(state, factors, cfg.learning_rate)
 
         state.prev_valid_mean = cur_valid_mean
         state.episode += 1

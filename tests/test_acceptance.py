@@ -172,8 +172,8 @@ def test_gate2_gradient_check(capsys):
         advs = np.random.default_rng([seed, 77]).normal(size=len(acts))
 
         _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, snap, acts, advs, beta_r, beta_e)
-        g_w, g_b = mlp_backward(params, cache, head_backward(dists, d_alpha, d_beta, d_logits))
-        analytic = [g for pair in zip(g_w, g_b) for g in pair]
+        factors = mlp_backward(params, cache, head_backward(dists, d_alpha, d_beta, d_logits))
+        analytic = [g for delta, h in factors for g in (np.outer(delta, h), delta)]
 
         def value_and_masks():
             out, (_, pres) = mlp_forward(params, s0)

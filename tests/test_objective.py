@@ -49,7 +49,7 @@ def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 3.0), logits=(0.3, -0.2, 0.8)):
 
 
 def act(*raw):
-    return CompoundAction(raw=np.asarray(raw, dtype=float), log_prob=0.0)
+    return CompoundAction(raw=np.asarray(raw, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -149,23 +150,23 @@ def test_nonfinite_activations_raise():
 
 def test_log_prob_matches_beta_reference():
     dists = DistributionSet.from_heads([("beta", A0, A0)])
-    got = log_prob(dists, CompoundAction(raw=np.array([0.3]), log_prob=0.0))
+    got = log_prob(dists, CompoundAction(raw=np.array([0.3])))
     assert abs(got - LOGPDF_A0_03) < 1e-12
-    got = log_prob(dists, CompoundAction(raw=np.array([0.5]), log_prob=0.0))
+    got = log_prob(dists, CompoundAction(raw=np.array([0.5])))
     assert abs(got - LOGPDF_A0_05) < 1e-12
 
 
 def test_log_prob_sums_over_heads():
     dists = mixed_dists()
-    action = CompoundAction(raw=np.array([0.3, 2.0, 0.5]), log_prob=0.0)
+    action = CompoundAction(raw=np.array([0.3, 2.0, 0.5]))
     got = log_prob(dists, action)
     only_beta1 = log_prob(
         DistributionSet.from_heads([("beta", 2.0, 5.0)]),
-        CompoundAction(raw=np.array([0.3]), log_prob=0.0),
+        CompoundAction(raw=np.array([0.3])),
     )
     only_beta2 = log_prob(
         DistributionSet.from_heads([("beta", 1.5, 1.0)]),
-        CompoundAction(raw=np.array([0.5]), log_prob=0.0),
+        CompoundAction(raw=np.array([0.5])),
     )
     assert abs(got - (only_beta1 + math.log(1.0 / 6.0) + only_beta2)) < 1e-12
 
@@ -174,25 +175,25 @@ def test_log_prob_rejects_boundary_values():
     dists = DistributionSet.from_heads([("beta", 2.0, 2.0)])
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
-            log_prob(dists, CompoundAction(raw=np.array([bad]), log_prob=0.0))
+            log_prob(dists, CompoundAction(raw=np.array([bad])))
 
 
 def test_log_prob_rejects_bad_category_index():
     dists = DistributionSet.from_heads([("cat", np.full(6, 1 / 6))])
     for bad in (-1.0, 6.0):
         with pytest.raises(DomainError):
-            log_prob(dists, CompoundAction(raw=np.array([bad]), log_prob=0.0))
+            log_prob(dists, CompoundAction(raw=np.array([bad])))
 
 
 def test_log_prob_rejects_wrong_length():
     dists = mixed_dists()
     with pytest.raises(ShapeError):
-        log_prob(dists, CompoundAction(raw=np.array([0.5, 1.0]), log_prob=0.0))
+        log_prob(dists, CompoundAction(raw=np.array([0.5, 1.0])))
 
 
 def test_log_prob_zero_probability_category():
     dists = DistributionSet.from_heads([("cat", np.array([1.0, 0.0]))])
-    action = CompoundAction(raw=np.array([1.0]), log_prob=0.0)
+    action = CompoundAction(raw=np.array([1.0]))
     assert log_prob(dists, action) == -np.inf
 
 
@@ -262,15 +263,6 @@ def test_sample_is_deterministic_per_seed():
     a = sample(dists, np.random.default_rng([7, 3]))
     b = sample(dists, np.random.default_rng([7, 3]))
     assert np.array_equal(a.raw, b.raw)
-    assert a.log_prob == b.log_prob
-
-
-def test_sample_log_prob_is_consistent():
-    dists = mixed_dists()
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        act = sample(dists, rng)
-        assert abs(act.log_prob - log_prob(dists, act)) < 1e-12
 
 
 def test_sample_respects_supports():
@@ -325,7 +317,9 @@ def test_mlp_backward_matches_finite_differences():
     w = rng.normal(size=4)  # probe direction: scalar = w . out
 
     out, cache = mlp_forward(params, s0)
-    g_w, g_b = mlp_backward(params, cache, w)
+    factors = mlp_backward(params, cache, w)
+    g_w = [np.outer(delta, h) for delta, h in factors]
+    g_b = [delta for delta, _ in factors]
 
     h = 1e-6
     for arrs, grads in ((params.weights, g_w), (params.biases, g_b)):
@@ -341,6 +335,32 @@ def test_mlp_backward_matches_finite_differences():
                 flat[j] = keep
                 fd = (up - dn) / (2.0 * h)
                 assert abs(grad.reshape(-1)[j] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_mlp_backward_factors_give_the_full_gradients_exactly():
+    rng = np.random.default_rng(23)
+    params = init_params(rng, 5, 12, 7)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]  # some ReLUs off
+    g_out = rng.normal(size=7)
+    _, cache = mlp_forward(params, context_vector(5))
+    inputs, pres = cache
+
+    # The full matrices, chained as before the backward pass returned factors.
+    want_w, want_b = [None] * 4, [None] * 4
+    g = g_out
+    for layer in range(3, -1, -1):
+        want_w[layer] = np.outer(g, inputs[layer])
+        want_b[layer] = g.copy()
+        if layer > 0:
+            g = params.weights[layer].T @ g * (pres[layer - 1] > 0.0)
+
+    factors = mlp_backward(params, cache, g_out)
+    assert len(factors) == 4
+    for (delta, h), gw, gb, x in zip(factors, want_w, want_b, inputs):
+        assert h is x
+        assert np.array_equal(np.outer(delta, h), gw)
+        assert np.array_equal(delta, gb)
+    assert any((delta == 0.0).any() for delta, _ in factors[:3])
 
 
 def test_head_backward_softplus_chain():
@@ -395,5 +415,14 @@ def test_checkpoint_rejects_truncation(tmp_path):
     data = path.read_bytes()
     assert data.startswith(CHECKPOINT_MAGIC)
     path.write_bytes(data[:-16])
+    with pytest.raises(ValueError, match="truncated"):
+        load_params(str(path))
+
+
+def test_checkpoint_rejects_shapes_larger_than_the_file(tmp_path):
+    # A corrupt header must not make the loader allocate what the file cannot hold.
+    path = tmp_path / "policy.bin"
+    header = CHECKPOINT_MAGIC + struct.pack("<5Q", 2, 1, 1 << 44, 1, 3)
+    path.write_bytes(header + bytes(64))
     with pytest.raises(ValueError, match="truncated"):
         load_params(str(path))

@@ -6,7 +6,12 @@ import pytest
 from coredse.objective import EvalOutcome, RewardConfig
 from coredse.problems import Problem, toy_line_problem
 from coredse.space import ParameterSpace, ParamSpec, Ranged
+from coredse.policy import PolicyParams
 from coredse.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     PolicyConfig,
     TrainConfig,
     entropy_coefficient,
@@ -14,6 +19,8 @@ from coredse.trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    _adam_ascend,
+    _LoopState,
 )
 
 SMALL_POLICY = PolicyConfig(input_width=16, hidden_width=32)
@@ -271,3 +278,73 @@ def test_checkpoint_handles_missing_best(tmp_path):
     state = load_checkpoint(path, failing_problem())
     assert state.best is None and state.best_feasible is None
     assert state.prev_valid_mean is None
+
+
+# ---------------------------------------------------------------------------
+# the in-place Adam step against the whole-array expression
+
+
+def reference_adam(params, m, v, t, factors, lr):
+    """Adam as one whole-array expression per parameter array, from full gradients."""
+    grads = []
+    for delta, h in factors:
+        grads += [np.outer(delta, h), delta.copy()]
+    arrays = params.arrays()
+    for i, g in enumerate(grads):
+        m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g * g
+        mhat = m[i] / (1 - ADAM_BETA1**t)
+        vhat = v[i] / (1 - ADAM_BETA2**t)
+        arrays[i] += lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def random_factors(rng, params):
+    return [
+        (rng.normal(size=w.shape[0]) * (rng.random(w.shape[0]) < 0.7), rng.normal(size=w.shape[1]))
+        for w in params.weights
+    ]
+
+
+def test_adam_step_matches_whole_array_reference(tmp_path):
+    # (3, 40000): rows wider than a block; (100, 700): 100 rows are not a
+    # multiple of a block's 46; the Fortran-ordered (700, 3) array is not row-contiguous.
+    rng = np.random.default_rng(11)
+    sizes = [40000, 3, 700, 100]
+    rows_per_block = ADAM_BLOCK // sizes[2]
+    assert sizes[0] > ADAM_BLOCK and rows_per_block < sizes[3] and sizes[3] % rows_per_block
+    weights = [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
+    weights[1] = np.asfortranarray(weights[1])
+    params = PolicyParams(weights, [rng.normal(size=o) for o in sizes[1:]])
+    state = _LoopState(
+        params=params,
+        adam_m=[np.zeros_like(a) for a in params.arrays()],
+        adam_v=[np.zeros_like(a) for a in params.arrays()],
+        adam_step=0,
+        episode=0,
+        running=0.0,
+        prev_valid_mean=None,
+        samples_used=0,
+        best=None,
+        best_feasible=None,
+    )
+    ref = params.copy()
+    ref_m = [a.copy() for a in state.adam_m]
+    ref_v = [a.copy() for a in state.adam_v]
+
+    def check_steps(state, n, lr):
+        held = state.params.arrays() + state.adam_m + state.adam_v
+        for _ in range(n):
+            factors = random_factors(rng, state.params)
+            _adam_ascend(state, factors, lr)
+            reference_adam(ref, ref_m, ref_v, state.adam_step, factors, lr)
+            got = state.params.arrays() + state.adam_m + state.adam_v
+            assert all(a is b for a, b in zip(got, held))  # updated in place
+            for a, b in zip(got, ref.arrays() + ref_m + ref_v):
+                assert np.array_equal(a, b)
+
+    check_steps(state, 3, 1e-3)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, state)
+    restored = load_checkpoint(path, toy_line_problem())
+    assert restored.adam_step == 3
+    check_steps(restored, 3, 3e-2)
