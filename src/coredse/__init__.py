@@ -22,7 +22,6 @@ from .design import (
     LevelMapping,
     SpaceOptions,
     Workload,
-    decode_config,
     parse_workload,
     validate_config,
 )

@@ -9,14 +9,13 @@ three methods are comparable sample-for-sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .objective import RewardConfig, raw_objective, scalar_reward
+from .objective import RewardConfig, scalar_reward
 from .problems import Problem
 from .space import Categorical, ParameterSpace
-from .trainer import BestDesign, EpisodeReport, SampleRecord, _action_hash, evaluate_batch
+from .trainer import BestDesign, EpisodeReport, _episode_report, _HistoryRows, _update_best, evaluate_batch
 
 __all__ = [
     "BaselineResult",
@@ -27,26 +26,13 @@ __all__ = [
 
 
 @dataclass
-class BaselineResult:
+class BaselineResult(_HistoryRows):
     method: str
     status: str
     samples_used: int
     best: BestDesign | None
     best_feasible: BestDesign | None
     history: list[EpisodeReport]
-
-    def history_rows(self):
-        for report in self.history:
-            for rec in report.records:
-                yield {
-                    "episode": rec.episode,
-                    "sample_index": rec.index,
-                    "reward": rec.reward,
-                    "valid": int(rec.valid),
-                    "violation_sum": rec.violation_sum,
-                    "running_reward": report.running_reward,
-                    "best_reward": report.best_reward,
-                }
 
 
 def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
@@ -59,12 +45,11 @@ def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
 
 
 class _Tracker:
-    """Shared best-so-far bookkeeping and per-batch history records."""
+    """Scores genome batches into the search's best-so-far and history."""
 
-    def __init__(self, problem: Problem, cfg: RewardConfig, workers: int):
+    def __init__(self, problem: Problem, cfg: RewardConfig):
         self.problem = problem
         self.cfg = cfg
-        self.workers = workers
         self.best: BestDesign | None = None
         self.best_feasible: BestDesign | None = None
         self.history: list[EpisodeReport] = []
@@ -72,53 +57,18 @@ class _Tracker:
 
     def score_batch(self, batch_index: int, genomes: list[np.ndarray]) -> np.ndarray:
         raws = [genome_to_raw(self.problem.space, g) for g in genomes]
-        results = evaluate_batch(self.problem, raws, self.workers)
+        results = evaluate_batch(self.problem, raws)
         self.samples_used += len(raws)
 
-        fitness = np.empty(len(raws))
-        records = []
-        for k, (design, outcome) in enumerate(results):
-            if outcome.anomalous:
-                fitness[k] = self.cfg.r_ano
-            else:
-                fitness[k] = scalar_reward(outcome, self.cfg)
-                if self.best is None or fitness[k] > self.best.reward:
-                    self.best = BestDesign(
-                        float(fitness[k]),
-                        raw_objective(outcome, self.cfg.weights),
-                        design,
-                        raws[k].copy(),
-                        batch_index,
-                    )
-                if outcome.feasible:
-                    obj = raw_objective(outcome, self.cfg.weights)
-                    if self.best_feasible is None or obj < self.best_feasible.objective:
-                        self.best_feasible = BestDesign(
-                            float(fitness[k]), obj, design, raws[k].copy(), batch_index
-                        )
-            records.append(
-                SampleRecord(
-                    episode=batch_index,
-                    index=k,
-                    reward=float(fitness[k]),
-                    valid=not outcome.anomalous,
-                    violation_sum=outcome.violation_sum(),
-                    action_hash=_action_hash(raws[k]),
-                )
-            )
-
-        best_reward = self.best.reward if self.best is not None else float("nan")
-        self.history.append(
-            EpisodeReport(
-                episode=batch_index,
-                beta_e=float("nan"),
-                running_reward=float("nan"),
-                best_reward=best_reward,
-                mean_reward=float(fitness.mean()),
-                n_valid=sum(1 for _, o in results if not o.anomalous),
-                records=tuple(records),
-            )
+        outcomes = [o for _, o in results]
+        fitness = np.array(
+            [self.cfg.r_ano if o.anomalous else scalar_reward(o, self.cfg) for o in outcomes]
         )
+        self.best, self.best_feasible = _update_best(
+            self.best, self.best_feasible, batch_index, raws, results, fitness, self.cfg.weights
+        )
+        nan = float("nan")
+        self.history.append(_episode_report(batch_index, raws, outcomes, fitness, self.best, nan, nan))
         return fitness
 
 
@@ -133,7 +83,6 @@ def ga_run(
     pop_size: int = 32,
     generations: int = 100,
     seed: int = 0,
-    workers: int = 1,
     tournament_k: int = 3,
     crossover_rate: float = 0.9,
     mutation_rate: float = 0.1,
@@ -147,7 +96,7 @@ def ga_run(
         raise ValueError("generations must be >= 0")
     n = problem.n_raw
     rng = np.random.default_rng([seed])
-    tracker = _Tracker(problem, cfg, workers)
+    tracker = _Tracker(problem, cfg)
 
     pop = [rng.random(n) for _ in range(pop_size)]
     fitness = tracker.score_batch(0, pop)
@@ -185,7 +134,6 @@ def random_search(
     cfg: RewardConfig = RewardConfig(),
     budget: int = 1024,
     seed: int = 0,
-    workers: int = 1,
     chunk: int = 32,
 ) -> BaselineResult:
     """Uniform sampling; sample i draws from default_rng([seed, i]), so the
@@ -195,7 +143,7 @@ def random_search(
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     n = problem.n_raw
-    tracker = _Tracker(problem, cfg, workers)
+    tracker = _Tracker(problem, cfg)
 
     done = 0
     batch_index = 0

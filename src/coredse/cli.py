@@ -7,9 +7,8 @@ Verbs:
     defaults  print a complete default config as JSON
 
 All knobs live in a JSON config file (see ``defaults``); the only
-command line overrides are --seed and --workers. Outputs are plain
-CSV/JSON with no timestamps, so rerunning a command reproduces its
-output byte for byte.
+command line override is --seed. Outputs are plain CSV/JSON with no
+timestamps, so rerunning a command reproduces its output byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -50,7 +48,6 @@ _TRAIN_KEYS = (
     "target_objective",
     "learning_rate",
     "seed",
-    "workers",
 )
 _GA_KEYS = ("pop_size", "tournament_k", "crossover_rate", "mutation_rate", "mutation_sigma", "elitism")
 _TOP_KEYS = ("workload", "platform", "method", "space", "cost", "reward", "policy", "train", "ga", "random")
@@ -113,7 +110,7 @@ def load_config(path: str) -> dict:
 class Setup:
     """Config resolved into constructed objects, ready for dispatch."""
 
-    def __init__(self, config: dict, config_dir: Path, seed: int | None, workers: int | None):
+    def __init__(self, config: dict, config_dir: Path, seed: int | None):
         self.method = config.get("method", "core")
         if self.method not in METHODS:
             raise CliError(f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}")
@@ -154,10 +151,6 @@ class Setup:
         _check_keys("train", tr, _TRAIN_KEYS)
         if seed is not None:
             tr["seed"] = seed
-        if workers is not None:
-            tr["workers"] = workers
-        elif "workers" not in tr and os.environ.get("CORE_DSE_WORKERS"):
-            tr["workers"] = int(os.environ["CORE_DSE_WORKERS"])
         self.train_cfg = TrainConfig(reward=self.reward, policy=self.policy, **tr)
 
         ga = _section(config, "ga")
@@ -216,7 +209,7 @@ def _best_payload(result) -> dict:
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    setup = Setup(config, Path(args.config).resolve().parent, args.seed, args.workers)
+    setup = Setup(config, Path(args.config).resolve().parent, args.seed)
     problem = setup.problem()
     tcfg = setup.train_cfg
     out = Path(args.out)
@@ -236,7 +229,6 @@ def cmd_run(args) -> int:
             pop_size=pop,
             generations=generations,
             seed=tcfg.seed,
-            workers=tcfg.workers,
             tournament_k=int(setup.ga["tournament_k"]),
             crossover_rate=float(setup.ga["crossover_rate"]),
             mutation_rate=float(setup.ga["mutation_rate"]),
@@ -249,7 +241,6 @@ def cmd_run(args) -> int:
             setup.reward,
             budget=tcfg.sample_budget,
             seed=tcfg.seed,
-            workers=tcfg.workers,
             chunk=setup.chunk,
         )
 
@@ -273,7 +264,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = load_config(args.config)
-    setup = Setup(config, Path(args.config).resolve().parent, args.seed, args.workers)
+    setup = Setup(config, Path(args.config).resolve().parent, args.seed)
     problem = setup.problem()
 
     count = problem.cardinality(limit=args.limit)
@@ -390,14 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="search a co-design space with one method")
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None, help="evaluation threads")
     run.add_argument("--out", default="out", help="output directory")
     run.set_defaults(fn=cmd_run)
 
     oracle = sub.add_parser("oracle", help="exhaustively score a small space")
     oracle.add_argument("--config", required=True)
     oracle.add_argument("--seed", type=int, default=None)
-    oracle.add_argument("--workers", type=int, default=None)
     oracle.add_argument("--out", default="out")
     oracle.add_argument("--limit", type=int, default=100000, help="refuse spaces larger than this")
     oracle.set_defaults(fn=cmd_oracle)

@@ -19,10 +19,9 @@ outputs: K,X,Y -- output spatial sizes are approximated by input tiles).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .design import DIM_INDEX, DIMS, DesignConfig, Layer, LevelMapping, Workload, validate_config
+from .design import DIM_INDEX, DesignConfig, Layer, Workload, validate_config
 from .objective import EvalOutcome, Violation
 
 __all__ = [

@@ -11,10 +11,7 @@ produce structurally valid designs.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .space import (
     Categorical,
@@ -23,14 +20,11 @@ from .space import (
     ParamSpec,
     Ranged,
     Select,
-    ShapeError,
     SortKey,
     decode_values,
     enumerate_values,
     space_cardinality,
 )
-
-log = logging.getLogger(__name__)
 
 # Canonical dimension order; sort-key slots and tile tuples follow it.
 DIMS = ("S", "R", "K", "C", "X", "Y")
@@ -384,9 +378,3 @@ class CoDesignSpace:
         for values in enumerate_values(self.space):
             yield self.assemble(values)
 
-
-def decode_config(
-    raw, codesign: CoDesignSpace, use_scaling: bool = True
-) -> DesignConfig:
-    """Decode one raw action vector into a DesignConfig."""
-    return codesign.decode(raw, use_scaling=use_scaling)

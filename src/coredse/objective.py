@@ -1,4 +1,4 @@
-"""Rewards, advantages, and the clipped-ratio surrogate objective.
+"""Rewards, advantages, and the on-policy surrogate objective.
 
 Reward shaping: a valid design scores the weighted metric sum minus
 alpha_c times the summed positive constraint residuals.  A design the
@@ -7,32 +7,35 @@ previous batch mean, the running reward, and the current batch mean --
 or the floor value r_ano on the first episode and whenever those means
 are unavailable.
 
-The surrogate combines the importance-ratio-weighted advantages with a
-forward-KL trust term against the sampling snapshot and a decaying
-entropy bonus.  Log-ratios are clamped to +-RATIO_BOUND before
-exponentiation; a clamped sample contributes no gradient.
+The surrogate is J = mean(adv * log pi(a)) + beta_e * H(pi): the
+score-function (REINFORCE) objective over the batch plus a decaying
+entropy bonus.  The trainer takes exactly one step per sampled batch, at
+the parameters that drew it, so no importance ratio against a sampling
+snapshot is needed: at the snapshot a ratio is exp(0) = 1 with gradient
+grad log pi(a), a ratio clamp never binds, and a KL(pi || snapshot) trust
+term has zero gradient, so a ratio/KL surrogate's gradient equals this one
+exactly.  That is also PPO's clipped objective at its first step.
 
-The log-ratios of a batch come from one pass (`policy.log_ratio`): the
-actions are stacked and validated once, log x and log(1 - x) are taken
-once, and both distribution sets contribute their cached Beta normalisers,
-digammas and categorical log-probabilities.  Those caches are computed when
-a `DistributionSet` is built and rely on its arrays never being mutated
+The log-probabilities of a batch come from one pass (`policy.log_probs`):
+the actions are stacked and validated once, log x and log(1 - x) are taken
+once, and the distribution set contributes its cached Beta normalisers,
+digammas and categorical probabilities.  Those caches are computed when a
+`DistributionSet` is built and rely on its arrays never being mutated
 afterwards; a changed set is a new one, from `policy.heads_from_raw` or
 `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import polygamma
 
 from . import policy
-from .policy import CompoundAction, DistributionSet
+from .policy import DistributionSet
 
 __all__ = [
-    "RATIO_BOUND",
     "Violation",
     "EvalOutcome",
     "RewardConfig",
@@ -45,8 +48,6 @@ __all__ = [
     "surrogate_objective",
     "surrogate_gradients",
 ]
-
-RATIO_BOUND = 20.0
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,6 @@ class RewardConfig:
     alpha_c: float = 1.0  # constraint penalty rate
     alpha_p: float = 1.0  # anomalous batch-mean rate
     alpha_r: float = 0.2  # running-reward EMA rate
-    beta_r: float = 1.0  # KL trust weight
     beta_e_start: float = 1.0  # entropy bonus schedule
     beta_e_end: float = 0.02
     r_ano: float = -1e9  # anomalous floor reward
@@ -171,97 +171,53 @@ def raw_objective(outcome: EvalOutcome, weights) -> float:
 # ---------------------------------------------------------------------------
 # Surrogate objective
 
-def surrogate_objective(
-    dists: DistributionSet,
-    snapshot: DistributionSet,
-    actions,
-    advs,
-    beta_r: float,
-    beta_e: float,
-    ratio_bound: float = RATIO_BOUND,
-) -> float:
+def _stack_batch(dists: DistributionSet, actions, advs):
     advs = np.asarray(advs, dtype=float)
     if len(actions) != advs.size:
         raise ValueError(f"{len(actions)} actions vs {advs.size} advantages")
     if len(actions) == 0:
         raise ValueError("surrogate objective needs a non-empty batch")
-    delta = policy.log_ratio(dists, snapshot, policy.stack_actions(dists.layout, actions))
-    ratio = np.exp(np.clip(delta, -ratio_bound, ratio_bound))
-    return (
-        float(ratio @ advs) / advs.size
-        - beta_r * policy.kl(dists, snapshot)
-        + beta_e * policy.entropy(dists)
-    )
+    return policy.stack_actions(dists.layout, actions), advs
 
 
-def surrogate_gradients(
-    dists: DistributionSet,
-    snapshot: DistributionSet,
-    actions,
-    advs,
-    beta_r: float,
-    beta_e: float,
-    ratio_bound: float = RATIO_BOUND,
-):
+def _objective(dists: DistributionSet, batch, advs, beta_e: float) -> float:
+    return float(policy.log_probs(dists, batch) @ advs) / advs.size + beta_e * policy.entropy(dists)
+
+
+def surrogate_objective(dists: DistributionSet, actions, advs, beta_e: float) -> float:
+    """mean(adv * log pi(a)) + beta_e * H(pi) over a non-empty batch."""
+    return _objective(dists, *_stack_batch(dists, actions, advs), beta_e)
+
+
+def surrogate_gradients(dists: DistributionSet, actions, advs, beta_e: float):
     """Value and closed-form gradients wrt head parameters.
 
     Returns (value, d_alpha, d_beta, d_logits) where d_logits is one array
     per categorical head, already chained through the softmax.
     """
-    layout = dists.layout
-    advs = np.asarray(advs, dtype=float)
-    E = len(actions)
-    if E == 0 or advs.size != E:
-        raise ValueError("batch of actions and advantages must match and be non-empty")
+    batch, advs = _stack_batch(dists, actions, advs)
+    E = advs.size
+    coef = advs / E
+    value = _objective(dists, batch, advs, beta_e)
 
+    # Score terms, d log Beta(x; a, b) / da = log x - psi(a) + psi(a + b),
+    # plus the entropy bonus's trigamma terms.
     a, b = dists.alphas, dists.betas
     ab = a + b
-    dg_a, dg_b, dg_ab = dists.dg_alpha, dists.dg_beta, dists.dg_sum
-
-    batch = policy.stack_actions(layout, actions)
-    delta = policy.log_ratio(dists, snapshot, batch)
-    ratio = np.exp(np.clip(delta, -ratio_bound, ratio_bound))
-    active = np.abs(delta) < ratio_bound
-    coef = advs * ratio * active / E  # (E,)
-
-    value = float(ratio @ advs) / E
-    d_alpha = np.zeros_like(a)
-    d_beta = np.zeros_like(b)
-    d_logits = [np.zeros_like(p) for p in dists.cat_probs]
-
-    if layout.n_beta:
-        d_alpha += coef @ (batch.log_x - dg_a + dg_ab)
-        d_beta += coef @ (batch.log_1mx - dg_b + dg_ab)
-    for j, p in enumerate(dists.cat_probs):
-        idx = batch.cat_index[:, j]
-        g = -np.outer(coef, p)
-        g[np.arange(E), idx] += coef
-        d_logits[j] += g.sum(axis=0)
-
-    # Forward KL against the snapshot.
     tg_a, tg_b, tg_ab = polygamma(1, a), polygamma(1, b), polygamma(1, ab)
-    da, db = a - snapshot.alphas, b - snapshot.betas
-    kl_total = policy.kl(dists, snapshot)
-    value -= beta_r * kl_total
-    d_alpha -= beta_r * (da * tg_a - (da + db) * tg_ab)
-    d_beta -= beta_r * (db * tg_b - (da + db) * tg_ab)
-    # Per-head slices of the cached log-probabilities, 0 where p = 0.
-    heads = [slice(off, off + k) for off, k in zip(layout.cat_flat_off, layout.cat_sizes)]
-    log_p, log_q = dists.flat_log_probs, snapshot.flat_log_probs
-    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
-        q = snapshot.flat_probs[h]
-        # p = 0 entries are masked; q = 0 with p > 0 diverges
-        logpq = np.where(p > 0.0, log_p[h] - log_q[h] + np.where(q > 0.0, 0.0, np.inf), 0.0)
-        kl_head = float(np.sum(p * logpq))
-        d_logits[j] -= beta_r * p * (logpq - kl_head)
-
-    # Entropy bonus.
-    ent_total = policy.entropy(dists)
-    value += beta_e * ent_total
+    d_alpha = coef @ (batch.log_x - dists.dg_alpha + dists.dg_sum)
     d_alpha += beta_e * (-(a - 1.0) * tg_a + (ab - 2.0) * tg_ab)
+    d_beta = coef @ (batch.log_1mx - dists.dg_beta + dists.dg_sum)
     d_beta += beta_e * (-(b - 1.0) * tg_b + (ab - 2.0) * tg_ab)
-    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
-        h_head = -float(np.sum(p * log_p[h]))
-        d_logits[j] += beta_e * p * (-log_p[h] - h_head)
+
+    # Softmax heads: d log p_i / dz = onehot(i) - p, and dH/dz = p * (-log p - H).
+    d_logits = []
+    log_p = dists.flat_log_probs  # 0 where p = 0
+    for j, (p, off) in enumerate(zip(dists.cat_probs, dists.layout.cat_flat_off)):
+        g = -np.outer(coef, p)
+        g[np.arange(E), batch.cat_index[:, j]] += coef
+        lp = log_p[off : off + p.size]
+        h_head = -float(np.sum(p * lp))
+        d_logits.append(g.sum(axis=0) + beta_e * p * (-lp - h_head))
 
     return value, d_alpha, d_beta, d_logits

@@ -46,7 +46,7 @@ __all__ = [
     "sample",
     "log_prob",
     "stack_actions",
-    "log_ratio",
+    "log_probs",
     "entropy",
     "kl",
     "save_params",
@@ -135,7 +135,7 @@ class DistributionSet:
     and a different set is a new instance, from `heads_from_raw` or
     `dataclasses.replace` (which runs `__post_init__` again). The terms
     below are computed once per set from those arrays and shared by
-    `log_ratio`, `kl`, `entropy` and the surrogate gradients; editing an
+    `log_probs`, `kl`, `entropy` and the surrogate gradients; editing an
     array in place would leave them stale.
     """
 
@@ -393,22 +393,20 @@ def _check_same_structure(new: DistributionSet, old: DistributionSet) -> None:
         raise ShapeError("distribution sets have different head structure")
 
 
-def log_ratio(new: DistributionSet, old: DistributionSet, batch: ActionBatch) -> np.ndarray:
-    """log new(a) - log old(a) for every action of the batch, in one pass.
+def log_probs(dists: DistributionSet, batch: ActionBatch) -> np.ndarray:
+    """log dists(a) for every action of the batch, in one pass.
 
-    The Beta log-density ratio is linear in (log x, log(1 - x)) with
-    coefficients (alpha - alpha', beta - beta') and the normaliser
-    difference as constant; the categorical part gathers both sets' flat
-    probabilities at the chosen categories. A zero-probability category
-    gives -inf, as in `log_prob`. Against the same set the result is exactly 0.
+    The Beta log-densities are linear in (log x, log(1 - x)) with
+    coefficients (alpha - 1, beta - 1) and the cached normalisers as
+    constant; the categorical part gathers the flat probabilities at the
+    chosen categories. A zero-probability category gives -inf, as in
+    `log_prob`, the scalar reference.
     """
-    _check_same_structure(new, old)
-    delta = batch.log_x @ (new.alphas - old.alphas) + batch.log_1mx @ (new.betas - old.betas)
-    delta -= (new.beta_norm - old.beta_norm).sum()
-    flat = batch.cat_index + new.layout.cat_flat_off
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pq = np.log(new.flat_probs.take(flat)) - np.log(old.flat_probs.take(flat))
-        return delta + log_pq.sum(axis=1)
+    total = batch.log_x @ (dists.alphas - 1.0) + batch.log_1mx @ (dists.betas - 1.0)
+    total -= dists.beta_norm.sum()
+    flat = batch.cat_index + dists.layout.cat_flat_off
+    with np.errstate(divide="ignore"):
+        return total + np.log(dists.flat_probs.take(flat)).sum(axis=1)
 
 
 def entropy(dists: DistributionSet) -> float:

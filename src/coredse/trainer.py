@@ -2,18 +2,18 @@
 
 Every episode draws a fresh batch of compound actions from the policy
 conditioned on a fixed context, evaluates the decoded designs, shapes
-rewards, and takes exactly one Adam ascent step on the clipped surrogate.
-Determinism contract: results are byte-identical across reruns and across
-worker counts, because each sample's randomness comes from a generator
-seeded by (seed, episode, slot) rather than from shared stream state.
+rewards, and takes exactly one Adam ascent step on the on-policy
+surrogate mean(adv * log pi(a)) + beta_e * H(pi) (see `objective`).
+Determinism contract: results are byte-identical across reruns, because
+each sample's randomness comes from a generator seeded by (seed, episode,
+slot) rather than from shared stream state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class TrainConfig:
     target_objective: float | None = None
     learning_rate: float = 1e-5
     seed: int = 0
-    workers: int = 1
     reward: RewardConfig = field(default_factory=RewardConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
 
@@ -92,8 +91,6 @@ class TrainConfig:
             raise ValueError("sample_budget must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def episode_count(self) -> int:
         return min(self.max_episodes, self.sample_budget // self.batch_size)
@@ -129,16 +126,8 @@ class BestDesign:
     episode: int
 
 
-@dataclass
-class TrainResult:
-    status: str
-    episodes_run: int
-    samples_used: int
-    best: BestDesign | None
-    best_feasible: BestDesign | None
-    history: list[EpisodeReport]
-    params: PolicyParams
-    state: Any = field(default=None, repr=False)
+class _HistoryRows:
+    """The run log rows of a search result's EpisodeReport history."""
 
     def history_rows(self):
         """Flat per-sample rows matching the run log schema."""
@@ -153,6 +142,18 @@ class TrainResult:
                     "running_reward": report.running_reward,
                     "best_reward": report.best_reward,
                 }
+
+
+@dataclass
+class TrainResult(_HistoryRows):
+    status: str
+    episodes_run: int
+    samples_used: int
+    best: BestDesign | None
+    best_feasible: BestDesign | None
+    history: list[EpisodeReport]
+    params: PolicyParams
+    state: Any = field(default=None, repr=False)
 
 
 def entropy_coefficient(episode: int, cfg: TrainConfig) -> float:
@@ -179,12 +180,54 @@ def _decode_and_eval(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOutcom
         return design, EvalOutcome.failed(f"evaluate: {exc}")
 
 
-def evaluate_batch(problem: Problem, raws: Sequence[np.ndarray], workers: int = 1):
-    """Decode+evaluate a batch, results in slot order regardless of worker count."""
-    if workers <= 1 or len(raws) <= 1:
-        return [_decode_and_eval(problem, r) for r in raws]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _decode_and_eval(problem, r), raws))
+def evaluate_batch(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
+    """Decode and evaluate a batch, in slot order."""
+    return [_decode_and_eval(problem, r) for r in raws]
+
+
+def _update_best(best, best_feasible, episode: int, raws, results, rewards, weights):
+    """Fold one scored batch into (best by reward, best feasible by objective).
+
+    Anomalous designs never count; ties keep the earlier design.
+    """
+    for k, (design, outcome) in enumerate(results):
+        if outcome.anomalous:
+            continue
+        if best is None or rewards[k] > best.reward:
+            best = BestDesign(
+                float(rewards[k]), raw_objective(outcome, weights), design, raws[k].copy(), episode
+            )
+        if outcome.feasible:
+            obj = raw_objective(outcome, weights)
+            if best_feasible is None or obj < best_feasible.objective:
+                best_feasible = BestDesign(float(rewards[k]), obj, design, raws[k].copy(), episode)
+    return best, best_feasible
+
+
+def _episode_report(
+    episode: int, raws, outcomes, rewards: np.ndarray, best, beta_e: float, running: float
+) -> EpisodeReport:
+    """One batch's history entry: a record per design plus batch statistics."""
+    records = tuple(
+        SampleRecord(
+            episode=episode,
+            index=k,
+            reward=float(rewards[k]),
+            valid=not outcome.anomalous,
+            violation_sum=outcome.violation_sum(),
+            action_hash=_action_hash(raw),
+        )
+        for k, (raw, outcome) in enumerate(zip(raws, outcomes))
+    )
+    return EpisodeReport(
+        episode=episode,
+        beta_e=beta_e,
+        running_reward=running,
+        best_reward=best.reward if best is not None else float("nan"),
+        mean_reward=float(rewards.mean()),
+        n_valid=sum(rec.valid for rec in records),
+        records=records,
+    )
 
 
 @dataclass
@@ -329,8 +372,9 @@ def train(
         for slot in range(cfg.batch_size):
             rng = np.random.default_rng([cfg.seed, ep, slot])
             actions.append(sample(dists, rng))
+        raws = [a.raw for a in actions]
 
-        results = evaluate_batch(problem, [a.raw for a in actions], cfg.workers)
+        results = evaluate_batch(problem, raws)
         state.samples_used += cfg.batch_size
 
         outcomes = [r[1] for r in results]
@@ -343,20 +387,9 @@ def train(
                 for o in outcomes
             ]
         )
-
-        for k, (design, outcome) in enumerate(results):
-            if outcome.anomalous:
-                continue
-            if state.best is None or shaped[k] > state.best.reward:
-                state.best = BestDesign(
-                    float(shaped[k]), raw_objective(outcome, rcfg.weights), design, actions[k].raw.copy(), ep
-                )
-            if outcome.feasible:
-                obj = raw_objective(outcome, rcfg.weights)
-                if state.best_feasible is None or obj < state.best_feasible.objective:
-                    state.best_feasible = BestDesign(
-                        float(shaped[k]), obj, design, actions[k].raw.copy(), ep
-                    )
+        state.best, state.best_feasible = _update_best(
+            state.best, state.best_feasible, ep, raws, results, shaped, rcfg.weights
+        )
 
         hit_target = (
             cfg.target_objective is not None
@@ -365,30 +398,7 @@ def train(
         )
         if not hit_target:
             state.running = update_running(state.running, shaped, rcfg.alpha_r)
-
-        best_reward = state.best.reward if state.best is not None else float("nan")
-        records = tuple(
-            SampleRecord(
-                episode=ep,
-                index=k,
-                reward=float(shaped[k]),
-                valid=not outcomes[k].anomalous,
-                violation_sum=outcomes[k].violation_sum(),
-                action_hash=_action_hash(actions[k].raw),
-            )
-            for k in range(cfg.batch_size)
-        )
-        history.append(
-            EpisodeReport(
-                episode=ep,
-                beta_e=beta_e,
-                running_reward=state.running,
-                best_reward=best_reward,
-                mean_reward=float(shaped.mean()),
-                n_valid=sum(1 for o in outcomes if not o.anomalous),
-                records=records,
-            )
-        )
+        history.append(_episode_report(ep, raws, outcomes, shaped, state.best, beta_e, state.running))
 
         if hit_target:
             state.episode += 1
@@ -396,9 +406,7 @@ def train(
             break
 
         advs = advantages(shaped, state.running)
-        _, d_alpha, d_beta, d_logits = surrogate_gradients(
-            dists, dists, actions, advs, rcfg.beta_r, beta_e
-        )
+        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, actions, advs, beta_e)
         g_out = head_backward(dists, d_alpha, d_beta, d_logits)
         factors = mlp_backward(state.params, cache, g_out)
         _adam_ascend(state, factors, cfg.learning_rate)

@@ -39,14 +39,12 @@ from coredse.policy import (
     DistributionSet,
     context_vector,
     entropy,
-    forward,
     forward_cached,
     head_backward,
     heads_from_raw,
     init_params,
     kl,
     layout_for_space,
-    log_prob,
     mlp_backward,
     mlp_forward,
     sample,
@@ -157,27 +155,23 @@ def test_gate2_gradient_check(capsys):
     opts = SpaceOptions(tile_dims=("K",), tile_step=3, include_order=False)
     layout = layout_for_space(CoDesignSpace(wl, opts).space)
     s0 = context_vector(16)
-    beta_r, beta_e, h = 0.7, 0.3, 1e-4
+    beta_e, h = 0.3, 1e-4
 
     worst = 0.0
     kept = skipped = 0
     for seed in range(20):
         params = init_params(np.random.default_rng([seed]), 16, 64, layout.out_width)
-        snap_params = init_params(np.random.default_rng([seed, 999]), 16, 64, layout.out_width)
-        snap = forward(snap_params, s0, layout)
         dists, cache = forward_cached(params, s0, layout)
-        # Drop samples near the ratio clamp so the active set is stable under h.
-        pool = [sample(dists, np.random.default_rng([seed, k])) for k in range(5)]
-        acts = [a for a in pool if abs(log_prob(dists, a) - log_prob(snap, a)) < 19.0][:3]
+        acts = [sample(dists, np.random.default_rng([seed, k])) for k in range(3)]
         advs = np.random.default_rng([seed, 77]).normal(size=len(acts))
 
-        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, snap, acts, advs, beta_r, beta_e)
+        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, acts, advs, beta_e)
         factors = mlp_backward(params, cache, head_backward(dists, d_alpha, d_beta, d_logits))
         analytic = [g for delta, h in factors for g in (np.outer(delta, h), delta)]
 
         def value_and_masks():
             out, (_, pres) = mlp_forward(params, s0)
-            v = surrogate_objective(heads_from_raw(out, layout), snap, acts, advs, beta_r, beta_e)
+            v = surrogate_objective(heads_from_raw(out, layout), acts, advs, beta_e)
             return v, [p > 0 for p in pres]
 
         for arr, grad in zip(params.arrays(), analytic):
@@ -423,7 +417,7 @@ def test_gate6_reward_algebra(capsys):
 
 
 # ---------------------------------------------------------------------------
-# gate 7: one seed, one config, byte-identical logs at any worker count
+# gate 7: one seed, one config, byte-identical logs on every rerun
 
 
 def test_gate7_run_determinism(tmp_path, capsys):
@@ -454,22 +448,19 @@ def test_gate7_run_determinism(tmp_path, capsys):
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
 
-    blobs = {}
-    for workers in (1, 4, 32):
-        out = tmp_path / f"w{workers}"
-        rc = main(
-            ["run", "--config", str(tmp_path / "config.json"), "--workers", str(workers), "--out", str(out)]
-        )
-        assert rc == 0
-        blobs[workers] = tuple((out / f).read_bytes() for f in ("history.csv", "summary.json", "policy.bin"))
+    blobs = []
+    for run in range(3):
+        out = tmp_path / f"run{run}"
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        blobs.append(tuple((out / f).read_bytes() for f in ("history.csv", "summary.json", "policy.bin")))
 
-    ok = blobs[1] == blobs[4] == blobs[32]
-    size = len(blobs[1][0])
+    ok = blobs[0] == blobs[1] == blobs[2]
+    size = len(blobs[0][0])
     _report(
         7,
         "determinism",
         ok,
-        f"history.csv ({size} bytes), summary.json, policy.bin identical across workers 1/4/32",
+        f"history.csv ({size} bytes), summary.json, policy.bin identical across 3 runs",
         capsys,
     )
     assert ok

@@ -109,12 +109,6 @@ def test_ga_finds_toy_optimum():
     assert hits >= 9
 
 
-def test_ga_worker_count_does_not_change_results():
-    a = ga_run(toy_line_problem(), CFG, pop_size=8, generations=4, seed=7, workers=1)
-    b = ga_run(toy_line_problem(), CFG, pop_size=8, generations=4, seed=7, workers=4)
-    assert row_signature(a) == row_signature(b)
-
-
 def test_ga_anomalous_designs_get_floor_fitness():
     space = ParameterSpace((ParamSpec("v", Ranged(0, 15)),))
 

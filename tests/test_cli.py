@@ -117,6 +117,20 @@ def test_unknown_section_key_names_the_section(tmp_path, capsys):
     assert "'reward'" in err and "alpha_q" in err
 
 
+def test_removed_knobs_are_unknown_keys(tmp_path, capsys):
+    train = {"batch_size": 8, "max_episodes": 4, "sample_budget": 32, "learning_rate": 0.01, "workers": 2}
+    for section, key, kw in (
+        ("'reward'", "beta_r", dict(reward={"weights": [-1.0, 0.0], "beta_r": 1.0})),
+        ("'train'", "workers", dict(train=train)),
+    ):
+        path = write_setup(tmp_path, method="core", **kw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert section in err and key in err
+    with pytest.raises(SystemExit):
+        main(["run", "--config", str(path), "--workers", "2"])
+
+
 def test_unknown_method(tmp_path, capsys):
     path = write_setup(tmp_path, method="anneal")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -181,15 +195,6 @@ def test_seed_flag_overrides_config(tmp_path):
     main(["run", "--config", str(path), "--out", str(out), "--seed", "5"])
     summary = read_summary(out)
     assert summary["seed"] == 5
-
-
-def test_worker_env_var_does_not_change_results(tmp_path, monkeypatch):
-    path = write_setup(tmp_path, method="core")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["run", "--config", str(path), "--out", str(out1)])
-    monkeypatch.setenv("CORE_DSE_WORKERS", "3")
-    main(["run", "--config", str(path), "--out", str(out2)])
-    assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
 
 
 def test_core_run_writes_policy_checkpoint(tmp_path):
@@ -268,7 +273,7 @@ def test_oracle_agrees_with_library_enumeration(tmp_path):
 
     from coredse.cli import Setup, load_config
 
-    setup = Setup(load_config(str(path)), tmp_path, None, None)
+    setup = Setup(load_config(str(path)), tmp_path, None)
     problem = setup.problem()
     best = None
     count = 0

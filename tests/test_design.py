@@ -9,7 +9,6 @@ from coredse.design import (
     LevelMapping,
     SpaceOptions,
     Workload,
-    decode_config,
     parse_workload,
     validate_config,
 )
@@ -149,12 +148,6 @@ def test_no_scaling_decode_can_violate():
         if validate_config(config, cd.workload):
             bad += 1
     assert bad > 0  # declared bounds alone do not keep tiles and parallelism consistent
-
-
-def test_decode_config_wrapper_matches_method():
-    cd = default_space()
-    raw = raw_for(cd, 0.37, cat=1)
-    assert decode_config(raw, cd) == cd.decode(raw)
 
 
 # ---------------------------------------------------------------------------

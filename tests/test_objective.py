@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -24,11 +23,14 @@ from coredse.policy import (
     entropy,
     heads_from_raw,
     layout_for_space,
+    kl,
     log_prob,
-    log_ratio,
+    log_probs,
     sample,
     stack_actions,
 )
+from scipy.special import polygamma
+
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged, ShapeError, SortKey
 
 
@@ -182,40 +184,119 @@ def test_raw_objective_negates_weighted_metrics():
 # surrogate objective
 
 
+def mixed_space():
+    return ParameterSpace(
+        (
+            ParamSpec("a", Ranged(1, 8)),
+            ParamSpec("pick", Categorical(6)),
+            ParamSpec("k0", SortKey("order", 0)),
+            ParamSpec("k1", SortKey("order", 1)),
+            ParamSpec("mode", Categorical(3)),
+            ParamSpec("b", Ranged(0, 40)),
+        )
+    )
+
+
+def ratio_kl_surrogate_gradients(dists, snapshot, actions, advs, beta_r, beta_e, ratio_bound=20.0):
+    """The importance-ratio surrogate with a clamp and a KL(dists || snapshot)
+    trust term, kept here as the reference: at the snapshot its gradient is
+    the on-policy score-function gradient."""
+    layout = dists.layout
+    advs = np.asarray(advs, dtype=float)
+    E = len(actions)
+    a, b = dists.alphas, dists.betas
+    ab = a + b
+    dg_a, dg_b, dg_ab = dists.dg_alpha, dists.dg_beta, dists.dg_sum
+
+    batch = stack_actions(layout, actions)
+    delta = batch.log_x @ (a - snapshot.alphas) + batch.log_1mx @ (b - snapshot.betas)
+    delta -= (dists.beta_norm - snapshot.beta_norm).sum()
+    flat = batch.cat_index + layout.cat_flat_off
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pq = np.log(dists.flat_probs.take(flat)) - np.log(snapshot.flat_probs.take(flat))
+        delta = delta + log_pq.sum(axis=1)
+    ratio = np.exp(np.clip(delta, -ratio_bound, ratio_bound))
+    active = np.abs(delta) < ratio_bound
+    coef = advs * ratio * active / E
+
+    value = float(ratio @ advs) / E
+    d_alpha = np.zeros_like(a)
+    d_beta = np.zeros_like(b)
+    d_logits = [np.zeros_like(p) for p in dists.cat_probs]
+    if layout.n_beta:
+        d_alpha += coef @ (batch.log_x - dg_a + dg_ab)
+        d_beta += coef @ (batch.log_1mx - dg_b + dg_ab)
+    for j, p in enumerate(dists.cat_probs):
+        g = -np.outer(coef, p)
+        g[np.arange(E), batch.cat_index[:, j]] += coef
+        d_logits[j] += g.sum(axis=0)
+
+    tg_a, tg_b, tg_ab = polygamma(1, a), polygamma(1, b), polygamma(1, ab)
+    da, db = a - snapshot.alphas, b - snapshot.betas
+    value -= beta_r * kl(dists, snapshot)
+    d_alpha -= beta_r * (da * tg_a - (da + db) * tg_ab)
+    d_beta -= beta_r * (db * tg_b - (da + db) * tg_ab)
+    heads = [slice(off, off + k) for off, k in zip(layout.cat_flat_off, layout.cat_sizes)]
+    log_p, log_q = dists.flat_log_probs, snapshot.flat_log_probs
+    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
+        q = snapshot.flat_probs[h]
+        logpq = np.where(p > 0.0, log_p[h] - log_q[h] + np.where(q > 0.0, 0.0, np.inf), 0.0)
+        d_logits[j] -= beta_r * p * (logpq - float(np.sum(p * logpq)))
+
+    value += beta_e * entropy(dists)
+    d_alpha += beta_e * (-(a - 1.0) * tg_a + (ab - 2.0) * tg_ab)
+    d_beta += beta_e * (-(b - 1.0) * tg_b + (ab - 2.0) * tg_ab)
+    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
+        h_head = -float(np.sum(p * log_p[h]))
+        d_logits[j] += beta_e * p * (-log_p[h] - h_head)
+    return value, d_alpha, d_beta, d_logits
+
+
 def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
+    # Against its own sampling snapshot the ratio surrogate is mean(adv) +
+    # beta_e * H, and its gradient is the on-policy one, bit for bit.
+    layout = layout_for_space(mixed_space())
+    for seed in range(5):
+        rng = np.random.default_rng([seed])
+        dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
+        actions = [sample(dists, rng) for _ in range(16)]
+        advs = rng.normal(scale=10.0, size=16)
+        beta_e = float(rng.uniform(0.0, 1.0))
+        ref_value, *ref = ratio_kl_surrogate_gradients(dists, dists, actions, advs, 3.0, beta_e)
+        assert abs(ref_value - (np.mean(advs) + beta_e * entropy(dists))) < 1e-10
+
+        _, *got = surrogate_gradients(dists, actions, advs, beta_e)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert len(got[2]) == len(ref[2]) == 2
+        assert all(np.array_equal(g, r) for g, r in zip(got[2], ref[2]))
+
+
+def test_surrogate_is_advantage_weighted_log_prob_plus_entropy():
     dists = mixed_dists()
     actions = [act(0.3, 2, 0.5), act(0.7, 0, 0.1), act(0.4, 1, 0.9)]
     advs = [1.0, -2.0, 0.5]
-    got = surrogate_objective(dists, dists, actions, advs, beta_r=3.0, beta_e=0.25)
-    want = np.mean(advs) + 0.25 * entropy(dists)
+    got = surrogate_objective(dists, actions, advs, beta_e=0.25)
+    want = np.mean([adv * log_prob(dists, a) for adv, a in zip(advs, actions)]) + 0.25 * entropy(dists)
     assert abs(got - want) < 1e-10
 
 
 def test_surrogate_validates_batch():
     dists = mixed_dists()
     with pytest.raises(ValueError):
-        surrogate_objective(dists, dists, [], [], 1.0, 1.0)
+        surrogate_objective(dists, [], [], 1.0)
     with pytest.raises(ValueError):
-        surrogate_objective(dists, dists, [act(0.3, 2, 0.5)], [1.0, 2.0], 1.0, 1.0)
+        surrogate_objective(dists, [act(0.3, 2, 0.5)], [1.0, 2.0], 1.0)
     with pytest.raises(ValueError):
-        surrogate_gradients(dists, dists, [], [], 1.0, 1.0)
-
-
-def test_surrogate_is_minus_infinity_off_snapshot_support():
-    p = DistributionSet.from_heads([("cat", np.array([0.5, 0.5]))])
-    q = DistributionSet.from_heads([("cat", np.array([1.0, 0.0]))])
-    got = surrogate_objective(p, q, [act(0)], [1.0], beta_r=1.0, beta_e=0.0)
-    assert got == -np.inf
+        surrogate_gradients(dists, [], [], 1.0)
 
 
 def test_gradient_value_matches_objective():
     rng = np.random.default_rng(8)
     dists = mixed_dists()
-    snap = mixed_dists(alphas=(2.2, 1.4), betas=(4.5, 3.3), logits=(0.1, 0.0, 0.5))
     actions = [act(rng.uniform(0.05, 0.95), rng.integers(3), rng.uniform(0.05, 0.95)) for _ in range(6)]
     advs = rng.normal(size=6)
-    value, *_ = surrogate_gradients(dists, snap, actions, advs, beta_r=0.7, beta_e=0.3)
-    want = surrogate_objective(dists, snap, actions, advs, beta_r=0.7, beta_e=0.3)
+    value, *_ = surrogate_gradients(dists, actions, advs, beta_e=0.3)
+    want = surrogate_objective(dists, actions, advs, beta_e=0.3)
     assert abs(value - want) < 1e-10
 
 
@@ -234,28 +315,21 @@ def perturbed(dists, which, i, h, logits=None):
     return dataclasses.replace(dists, cat_probs=(softmax(z),))
 
 
-def test_gradients_match_finite_differences_off_snapshot():
+def test_gradients_match_finite_differences():
     logits = np.array([0.3, -0.2, 0.8])
     dists = mixed_dists(logits=logits)
-    snap = mixed_dists(alphas=(2.4, 1.3), betas=(4.0, 3.5), logits=(0.0, 0.1, 0.6))
     rng = np.random.default_rng(21)
     actions = [act(rng.uniform(0.1, 0.9), rng.integers(3), rng.uniform(0.1, 0.9)) for _ in range(5)]
     advs = rng.normal(size=5)
-    beta_r, beta_e = 0.7, 0.3
+    beta_e = 0.3
 
-    value, d_alpha, d_beta, d_logits = surrogate_gradients(
-        dists, snap, actions, advs, beta_r, beta_e
-    )
+    value, d_alpha, d_beta, d_logits = surrogate_gradients(dists, actions, advs, beta_e)
 
     h = 1e-6
 
     def fd(which, i):
-        up = surrogate_objective(
-            perturbed(dists, which, i, +h, logits), snap, actions, advs, beta_r, beta_e
-        )
-        dn = surrogate_objective(
-            perturbed(dists, which, i, -h, logits), snap, actions, advs, beta_r, beta_e
-        )
+        up = surrogate_objective(perturbed(dists, which, i, +h, logits), actions, advs, beta_e)
+        dn = surrogate_objective(perturbed(dists, which, i, -h, logits), actions, advs, beta_e)
         return (up - dn) / (2.0 * h)
 
     for i in range(2):
@@ -266,73 +340,26 @@ def test_gradients_match_finite_differences_off_snapshot():
         assert abs(got - fd("logit", i)) < 1e-5 * max(1.0, abs(got))
 
 
-def test_kl_gradient_vanishes_at_snapshot():
-    dists = mixed_dists()
-    actions = [act(0.5, 1, 0.5)]
-    # beta_e = 0 isolates ratio + KL; at the snapshot the KL term is flat,
-    # so gradients with beta_r = 0 and beta_r = 50 must agree
-    _, da0, db0, dl0 = surrogate_gradients(dists, dists, actions, [1.0], 0.0, 0.0)
-    _, da1, db1, dl1 = surrogate_gradients(dists, dists, actions, [1.0], 50.0, 0.0)
-    assert np.allclose(da0, da1, atol=1e-12)
-    assert np.allclose(db0, db1, atol=1e-12)
-    assert np.allclose(dl0[0], dl1[0], atol=1e-12)
-
-
-def test_clamped_ratio_contributes_no_gradient():
-    # snapshot assigns ~1e-12 mass to the drawn category: the log-ratio
-    # exceeds the clamp bound, freezing both the value and the gradient
-    eps = 1e-12
-    p = DistributionSet.from_heads([("cat", np.array([0.5, 0.5]))])
-    q = DistributionSet.from_heads([("cat", np.array([1.0 - eps, eps]))])
-    value, _, _, d_logits = surrogate_gradients(p, q, [act(1)], [1.0], 0.0, 0.0)
-    assert abs(value - math.exp(20.0)) < 1e-6 * math.exp(20.0)
-    assert np.array_equal(d_logits[0], np.zeros(2))
-
-
-def test_unclamped_sample_still_counts_in_mixed_batch():
-    eps = 1e-12
-    p = DistributionSet.from_heads([("cat", np.array([0.5, 0.5]))])
-    q = DistributionSet.from_heads([("cat", np.array([1.0 - eps, eps]))])
-    # sample 0 is clamped out, sample 1 (idx 0) stays live
-    _, _, _, d_mixed = surrogate_gradients(p, q, [act(1), act(0)], [1.0, 2.0], 0.0, 0.0)
-    _, _, _, d_single = surrogate_gradients(p, q, [act(0)], [2.0], 0.0, 0.0)
-    assert np.allclose(d_mixed[0], d_single[0] / 2.0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# batched log-ratio against the scalar log_prob
+# batched log-probabilities against the scalar log_prob
 
 
-def test_batched_log_ratio_matches_scalar_log_probs():
-    space = ParameterSpace(
-        (
-            ParamSpec("a", Ranged(1, 8)),
-            ParamSpec("pick", Categorical(6)),
-            ParamSpec("k0", SortKey("order", 0)),
-            ParamSpec("k1", SortKey("order", 1)),
-            ParamSpec("mode", Categorical(3)),
-            ParamSpec("b", Ranged(0, 40)),
-        )
-    )
-    layout = layout_for_space(space)
+def test_batched_log_probs_match_scalar_log_prob():
+    layout = layout_for_space(mixed_space())
     rng = np.random.default_rng(5)
     dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-    snap = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
     actions = [sample(dists, rng) for _ in range(24)]
-    batch = stack_actions(layout, actions)
 
-    want = np.array([log_prob(dists, a) - log_prob(snap, a) for a in actions])
-    assert np.allclose(log_ratio(dists, snap, batch), want, rtol=0.0, atol=1e-12)
-    # The trainer takes the ratio of a set against itself: exactly zero.
-    assert np.array_equal(log_ratio(dists, dists, batch), np.zeros(len(actions)))
+    want = np.array([log_prob(dists, a) for a in actions])
+    got = log_probs(dists, stack_actions(layout, actions))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     # A zero-probability category gives -inf, as log_prob does.
     p = DistributionSet.from_heads([("beta", 2.0, 3.0), ("cat", [0.5, 0.5, 0.0])])
-    q = DistributionSet.from_heads([("beta", 1.5, 2.0), ("cat", [0.2, 0.3, 0.5])])
     zero = [act(0.4, 2), act(0.4, 1)]
-    got = log_ratio(p, q, stack_actions(p.layout, zero))
-    assert got[0] == -np.inf
-    assert np.isclose(got[1], log_prob(p, zero[1]) - log_prob(q, zero[1]), rtol=0.0, atol=1e-12)
+    got = log_probs(p, stack_actions(p.layout, zero))
+    assert got[0] == -np.inf and log_prob(p, zero[0]) == -np.inf
+    assert np.isclose(got[1], log_prob(p, zero[1]), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -348,11 +375,10 @@ def test_batched_log_ratio_matches_scalar_log_probs():
 )
 def test_surrogate_validates_actions_like_log_prob(bad, error):
     dists = mixed_dists()
-    snap = mixed_dists(alphas=(2.2, 1.4), betas=(4.5, 3.3), logits=(0.1, 0.0, 0.5))
     actions = [act(0.3, 2, 0.5), bad]
     with pytest.raises(error):
         log_prob(dists, bad)
     with pytest.raises(error):
-        surrogate_objective(dists, snap, actions, [1.0, -1.0], 0.7, 0.3)
+        surrogate_objective(dists, actions, [1.0, -1.0], 0.3)
     with pytest.raises(error):
-        surrogate_gradients(dists, snap, actions, [1.0, -1.0], 0.7, 0.3)
+        surrogate_gradients(dists, actions, [1.0, -1.0], 0.3)

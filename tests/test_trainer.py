@@ -62,7 +62,6 @@ def test_train_config_validation():
         dict(max_episodes=-1),
         dict(sample_budget=-1),
         dict(learning_rate=0.0),
-        dict(workers=0),
     ):
         with pytest.raises(ValueError):
             line_cfg(**kw)
@@ -91,9 +90,7 @@ def test_entropy_coefficient_schedule():
 def test_evaluate_batch_preserves_slot_order():
     p = toy_line_problem()
     raws = [np.array([x]) for x in (0.01, 0.99, 0.5, 0.25)]
-    serial = evaluate_batch(p, raws, workers=1)
-    pooled = evaluate_batch(p, raws, workers=4)
-    assert [d for d, _ in serial] == [d for d, _ in pooled] == [0, 15, 8, 4]
+    assert [d for d, _ in evaluate_batch(p, raws)] == [0, 15, 8, 4]
 
 
 def test_evaluate_batch_wraps_decode_errors():
@@ -205,15 +202,6 @@ def test_rerun_is_byte_identical():
     p = toy_line_problem()
     a = train(p, line_cfg(max_episodes=5))
     b = train(p, line_cfg(max_episodes=5))
-    assert list(a.history_rows()) == list(b.history_rows())
-    for wa, wb in zip(a.params.arrays(), b.params.arrays()):
-        assert np.array_equal(wa, wb)
-
-
-def test_worker_count_does_not_change_results():
-    p = toy_line_problem()
-    a = train(p, line_cfg(max_episodes=5, workers=1))
-    b = train(p, line_cfg(max_episodes=5, workers=4))
     assert list(a.history_rows()) == list(b.history_rows())
     for wa, wb in zip(a.params.arrays(), b.params.arrays()):
         assert np.array_equal(wa, wb)
