@@ -36,11 +36,16 @@ class BaselineResult(_HistoryRows):
 
 
 def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
-    """Genes are reals in [0, 1]; categorical genes bucket to an index."""
+    """Genes are reals in [0, 1]; categorical genes bucket to an index.
+
+    ``genome`` is one genome or a (B, n) matrix of them, one per row. A
+    categorical gene g with k choices becomes min(int(k * g), k - 1).
+    """
     raw = np.array(genome, dtype=float)
-    for i, p in enumerate(space.params):
-        if isinstance(p.kind, Categorical):
-            raw[i] = min(int(p.kind.k * genome[i]), p.kind.k - 1)
+    cols = [i for i, p in enumerate(space.params) if isinstance(p.kind, Categorical)]
+    k = np.asarray([space.params[i].kind.k for i in cols], dtype=float)
+    # + 0.0 turns trunc's -0.0 into the 0.0 that int() gives.
+    raw[..., cols] = np.minimum(np.trunc(k * raw[..., cols]), k - 1) + 0.0
     return raw
 
 
@@ -56,7 +61,7 @@ class _Tracker:
         self.samples_used = 0
 
     def score_batch(self, batch_index: int, genomes: list[np.ndarray]) -> np.ndarray:
-        raws = [genome_to_raw(self.problem.space, g) for g in genomes]
+        raws = genome_to_raw(self.problem.space, np.stack(genomes))
         results = evaluate_batch(self.problem, raws)
         self.samples_used += len(raws)
 

@@ -19,10 +19,14 @@ outputs: K,X,Y -- output spatial sizes are approximated by input tiles).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .design import DIM_INDEX, DesignConfig, Layer, Workload, validate_config
+import numpy as np
+
+from .design import DIM_INDEX, DesignBatch, DesignConfig, Layer, Workload, valid_rows, validate_config
 from .objective import EvalOutcome, Violation
+from .space import EXACT_INT
 
 __all__ = [
     "TENSORS",
@@ -38,6 +42,7 @@ __all__ = [
     "area_mm2",
     "simulate",
     "make_evaluator",
+    "make_batch_evaluator",
 ]
 
 TENSORS = ("weights", "inputs", "outputs")
@@ -48,6 +53,7 @@ _REL = {
     "inputs": (DIM_INDEX["C"], DIM_INDEX["X"], DIM_INDEX["Y"]),
     "outputs": (DIM_INDEX["K"], DIM_INDEX["X"], DIM_INDEX["Y"]),
 }
+_REL_MASK = np.array([[d in _REL[t] for d in range(6)] for t in TENSORS])  # (tensor, dim)
 
 
 @dataclass(frozen=True)
@@ -192,5 +198,78 @@ def make_evaluator(workload: Workload, platform: Platform, consts: CostConstants
 
     def evaluate(config: DesignConfig) -> EvalOutcome:
         return simulate(config, workload, platform, consts)
+
+    return evaluate
+
+
+def _int64_exact(workload: Workload, platform: Platform, consts: CostConstants) -> bool:
+    """Whether int64/float64 pricing reproduces simulate() on every valid design.
+
+    For tiles 1 <= t1 <= t2 <= d a level moves at most bytes_per_element *
+    prod(2d) bytes per tensor (t * ceil(o / t) < 2o), so a layer's latency
+    is below 6 * 64 * bytes_per_element * MACs. Their sum over the layers
+    must stay below 2**53, where float64 still holds every integer, so
+    that the mean divides exactly as Python's int / int does. The constants
+    must be of the types simulate() computes with, and a non-positive area
+    budget, which makes simulate() raise, is left to it.
+    """
+    ints = (consts.bytes_per_element, consts.bw_l2_bytes_per_cycle, consts.bw_dram_bytes_per_cycle)
+    floats = (consts.area_per_pe_mm2, consts.area_per_byte_mm2, platform.area_budget_mm2)
+    if not all(type(v) is int for v in ints) or not all(type(v) is float for v in floats):
+        return False
+    bound = sum(384 * consts.bytes_per_element * math.prod(layer.dims()) for layer in workload.layers)
+    return bound < EXACT_INT and platform.area_budget_mm2 > 0
+
+
+def make_batch_evaluator(workload: Workload, platform: Platform, consts: CostConstants = CostConstants()):
+    """simulate() over a DesignBatch, or None where int64 pricing could differ from it.
+
+    The evaluator takes a batch and a mask of the rows to price, and returns
+    one EvalOutcome per row, equal to simulate()'s for that row's design, or
+    None where the mask is False or `valid_rows` fails the row (simulate()
+    names what is wrong). Arrays run over rows x layers x levels x tensors.
+    """
+    if not _int64_exact(workload, platform, consts):
+        return None
+    dims = np.asarray([layer.dims() for layer in workload.layers], dtype=np.int64)
+    macs = dims.prod(axis=1)
+    bpe = consts.bytes_per_element
+    bw = np.asarray([[consts.bw_l2_bytes_per_cycle], [consts.bw_dram_bytes_per_cycle]])  # per level
+    budget = platform.area_budget_mm2
+
+    def evaluate(batch: DesignBatch, priced: np.ndarray) -> list[EvalOutcome | None]:
+        outcomes: list[EvalOutcome | None] = [None] * len(priced)
+        rows = np.flatnonzero(priced & valid_rows(batch, workload))
+        if not rows.size:
+            return outcomes
+        b = batch.take(rows)
+        tiles = b.tiles
+        # Level 1 tiles level-2 tiles; level 2 tiles the layer.
+        outer = np.stack([tiles[:, :, 1], np.broadcast_to(dims, tiles[:, :, 1].shape)], axis=2)
+        trips = -(-outer // tiles)
+        pos = np.argsort(b.order, axis=-1)  # each dim's loop position
+        pos_tau = np.where(_REL_MASK, pos[..., None, :], -1).max(axis=-1)
+        counted = pos[..., None, :] <= pos_tau[..., None]
+        factor = np.where(counted, trips[..., None, :], 1).prod(axis=-1)
+        volume = np.where(_REL_MASK, tiles[..., None, :], 1).prod(axis=-1)  # (rows, L, level, tensor)
+        traffic = bpe * volume * factor
+        mem = (-(-traffic // bw)).sum(axis=(2, 3))
+        speedup = np.minimum(b.parallelism.prod(axis=-1), b.n_pe[:, None])
+        latency = np.maximum(-(-macs // speedup), mem)
+        mean_latency = latency.sum(axis=1) / len(dims)
+        footprint = bpe * volume.sum(axis=-1)
+        needs = (footprint[:, :, 0].max(axis=1), footprint[:, :, 1].max(axis=1))
+        area = b.n_pe * consts.area_per_pe_mm2 + (b.n_pe * b.l1_bytes + b.l2_bytes) * consts.area_per_byte_mm2
+
+        checks = [
+            ("area", area, np.full(len(rows), budget)),
+            ("l1_capacity", needs[0], b.l1_bytes),
+            ("l2_capacity", needs[1], b.l2_bytes),
+        ]
+        over = [(name, (value > cap).tolist(), ((value - cap) / cap).tolist()) for name, value, cap in checks]
+        for k, (i, lat, um2) in enumerate(zip(rows.tolist(), mean_latency.tolist(), (area * 1e6).tolist())):
+            violations = [Violation(name, res[k]) for name, hit, res in over if hit[k]]
+            outcomes[i] = EvalOutcome.ok((lat, um2), violations)
+        return outcomes
 
     return evaluate

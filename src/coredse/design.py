@@ -11,9 +11,14 @@ produce structurally valid designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .space import (
+    EXACT_INT,
+    BatchDecoder,
     Categorical,
     ConfigurationError,
     ParameterSpace,
@@ -191,6 +196,72 @@ def validate_config(config: DesignConfig, workload: Workload) -> list[str]:
     return bad
 
 
+@dataclass(frozen=True)
+class DesignBatch:
+    """Designs as arrays, one row each: the struct-of-arrays form of DesignConfig.
+
+    Axis 1 is the layer and axis 2 the level (0 for level 1, 1 for level 2).
+    Tiles are in canonical (S,R,K,C,X,Y) order, orders hold dim indices
+    outermost first, and a parallel dim that is not a dim name reads -1.
+    """
+
+    n_pe: np.ndarray  # (B,)
+    l1_bytes: np.ndarray  # (B,)
+    l2_bytes: np.ndarray  # (B,)
+    tiles: np.ndarray  # (B, L, 2, 6)
+    order: np.ndarray  # (B, L, 2, 6)
+    parallel_dim: np.ndarray  # (B, L, 2)
+    parallelism: np.ndarray  # (B, L, 2)
+
+    def take(self, rows) -> "DesignBatch":
+        return DesignBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def configs(self) -> list[DesignConfig]:
+        """One DesignConfig per row; every order a permutation, every parallel dim a dim."""
+        n_rows, n_layers = self.tiles.shape[:2]
+        orders = map(_ORDER_NAMES.__getitem__, (self.order @ _ORDER_CODE).ravel().tolist())
+        pdims = map(DIMS.__getitem__, self.parallel_dim.ravel().tolist())
+        tiles = map(tuple, self.tiles.reshape(-1, 6).tolist())
+        maps = list(map(LevelMapping, orders, pdims, self.parallelism.ravel().tolist(), tiles))
+        pairs = list(zip(maps[0::2], maps[1::2]))
+        per_row = [tuple(pairs[i : i + n_layers]) for i in range(0, n_rows * n_layers, n_layers)]
+        return list(
+            map(DesignConfig, self.n_pe.tolist(), self.l1_bytes.tolist(), self.l2_bytes.tolist(), per_row)
+        )
+
+
+# A loop order's dim names by its code, sum(order[i] * 6**i).
+_ORDER_CODE = 6 ** np.arange(6)
+_ORDER_NAMES = {
+    sum(int(c) * p for c, p in zip(_ORDER_CODE, perm)): tuple(DIMS[i] for i in perm)
+    for perm in itertools.permutations(range(6))
+}
+
+
+def valid_rows(batch: DesignBatch, workload: Workload) -> np.ndarray:
+    """validate_config's rules over a batch: True where it finds nothing wrong.
+
+    The batch has one mapping pair per workload layer by construction.
+    """
+    n_pe = batch.n_pe
+    ok = (n_pe >= 2) & (n_pe <= MAX_PES) & (n_pe % 2 == 0)
+    for v in (batch.l1_bytes, batch.l2_bytes):
+        ok &= (v >= 1) & (v <= MAX_BUFFER_BYTES)
+    pdim, par = batch.parallel_dim, batch.parallelism
+    levels = (
+        (np.sort(batch.order, axis=-1) == np.arange(6)).all(axis=-1)
+        & (pdim >= 0)
+        & (batch.tiles >= 1).all(axis=-1)
+        & (par >= 1)
+    )
+    t1, t2 = batch.tiles[:, :, 0], batch.tiles[:, :, 1]
+    dims = np.asarray([layer.dims() for layer in workload.layers])
+    nested = (t2 <= dims).all(axis=-1) & (t1 <= t2).all(axis=-1)
+    caps = np.take_along_axis(t2, np.maximum(pdim, 0), axis=-1)
+    caps[:, :, 0] = np.minimum(caps[:, :, 0], n_pe[:, None])
+    return ok & (levels.all(axis=-1) & nested & (par <= caps).all(axis=-1)).all(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Space construction
 
@@ -337,6 +408,65 @@ class CoDesignSpace:
     def decode(self, raw, use_scaling: bool = True) -> DesignConfig:
         values = decode_values(self.space, raw, use_scaling=use_scaling)
         return self.assemble(values)
+
+    def batch_decoder(self, use_scaling: bool = True):
+        """decode() over a (B, n) raw matrix: ``raws -> (DesignBatch, ok)``.
+
+        ok is False on each row for which decode() raises; on the other rows
+        ``DesignBatch.configs()`` equals decode()'s designs. Raises
+        ConfigurationError when a bound is too large to decode exactly in
+        int64 (see `BatchDecoder`).
+        """
+        decoder = BatchDecoder(self.space, use_scaling=use_scaling)
+        n_layers = len(self.workload.layers)
+        width = decoder.width
+        # Every scalar field as a column of [decoded values | fixed values].
+        per_level = [(li, level) for li in range(n_layers) for level in (1, 2)]
+        names = [
+            "n_pe",
+            "l1_bytes",
+            "l2_bytes",
+            *(f"l{li}.t{level}.{d}" for li, level in per_level for d in DIMS),
+            *(f"l{li}.par{level}" for li, level in per_level),
+            *(f"l{li}.pdim{level}" for li, level in per_level),
+        ]
+        fixed = {}
+        for name in names:
+            if name not in self.space.index:
+                v = self.fixed[name]
+                if ".pdim" in name:
+                    v = DIM_INDEX.get(v, -1) if isinstance(v, str) else -1
+                elif abs(int(v)) >= EXACT_INT:
+                    raise ConfigurationError(f"{name}: {v} is beyond the batch decode's exact range")
+                fixed[name] = int(v)
+        columns = np.asarray(
+            [self.space.index[n] if n in self.space.index else width + list(fixed).index(n) for n in names],
+            dtype=np.intp,
+        )
+        fixed_values = np.asarray(list(fixed.values()), dtype=np.int64)
+        blocks = [(li, level - 1, f"l{li}.order{level}") for li, level in per_level]
+        n_tiles = 12 * n_layers
+
+        def decode_batch(raws: np.ndarray):
+            values, orders, ok = decoder(raws)
+            table = np.concatenate([values, np.broadcast_to(fixed_values, (len(raws), len(fixed)))], axis=1)
+            g = table[:, columns]
+            order = np.empty((len(raws), n_layers, 2, 6), dtype=np.int64)
+            for li, lv, block in blocks:
+                order[:, li, lv] = orders[block] if block in orders else self.fixed[block]
+            pars = g[:, 3 + n_tiles :].reshape(len(raws), 2, n_layers, 2)
+            batch = DesignBatch(
+                n_pe=g[:, 0],
+                l1_bytes=g[:, 1],
+                l2_bytes=g[:, 2],
+                tiles=g[:, 3 : 3 + n_tiles].reshape(len(raws), n_layers, 2, 6),
+                order=order,
+                parallel_dim=pars[:, 1],
+                parallelism=pars[:, 0],
+            )
+            return batch, ok
+
+        return decode_batch
 
     def assemble(self, values: dict) -> DesignConfig:
         def get(name: str):

@@ -27,6 +27,7 @@ afterwards; a changed set is a new one, from `policy.heads_from_raw` or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ class EvalOutcome:
             if self.metrics is not None:
                 raise ValueError("anomalous outcomes carry no metrics")
         else:
-            if self.metrics is None or not all(np.isfinite(m) for m in self.metrics):
+            if self.metrics is None or not all(math.isfinite(m) for m in self.metrics):
                 raise ValueError(f"valid outcome needs finite metrics, got {self.metrics}")
 
     @staticmethod

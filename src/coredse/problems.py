@@ -2,7 +2,9 @@
 
 The trainer and the baseline searchers only ever see this interface, so
 swapping the accelerator model for a toy function needs no changes on
-their side.
+their side. A problem may also carry an array path that decodes and
+evaluates a whole raw matrix at once; `decode` and `evaluate` stay its
+reference, and the path for every row it refuses.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .costmodel import CostConstants, Platform, make_evaluator
+from .costmodel import CostConstants, Platform, make_batch_evaluator, make_evaluator
 from .design import CoDesignSpace, DesignConfig, SpaceOptions, Workload
 from .objective import EvalOutcome
-from .space import ParameterSpace, decode_values, space_cardinality
+from .space import ConfigurationError, ParameterSpace, decode_values, space_cardinality
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,8 @@ class Problem:
 
     decode: raw vector in [0,1)^n -> design object
     evaluate: design object -> EvalOutcome
+    evaluate_raws: optional (B, n) raw matrix -> per row (design, outcome)
+        equal to decode-then-evaluate's, or None for a row it refuses
     """
 
     name: str
@@ -32,6 +36,7 @@ class Problem:
     evaluate: Callable[[Any], EvalOutcome]
     describe: Callable[[Any], dict] = field(default=lambda d: {"design": repr(d)})
     codesign: CoDesignSpace | None = None
+    evaluate_raws: Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]] | None = None
 
     @property
     def n_raw(self) -> int:
@@ -63,7 +68,31 @@ def accelerator_problem(
     def describe(config: DesignConfig) -> dict:
         return config.to_dict()
 
-    return Problem(name, codesign.space, decode, evaluate, describe, codesign=codesign)
+    evaluate_raws = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts))
+    return Problem(name, codesign.space, decode, evaluate, describe, codesign=codesign, evaluate_raws=evaluate_raws)
+
+
+def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price):
+    """accelerator_problem's array path, or None where it could not match decode-then-evaluate.
+
+    A row is refused where decode raises or the design breaks a structural
+    rule; the scalar path then gives its exact note.
+    """
+    if price is None:
+        return None
+    try:
+        decode_batch = codesign.batch_decoder(use_scaling)
+    except ConfigurationError:  # a bound beyond the exact int64 range
+        return None
+
+    def evaluate_raws(raws: np.ndarray) -> list[tuple[DesignConfig, EvalOutcome] | None]:
+        batch, decoded = decode_batch(raws)
+        outcomes = price(batch, decoded)
+        rows = [i for i, o in enumerate(outcomes) if o is not None]
+        designs = dict(zip(rows, batch.take(rows).configs()))
+        return [None if o is None else (designs[i], o) for i, o in enumerate(outcomes)]
+
+    return evaluate_raws
 
 
 def enumerate_designs(problem: Problem) -> Iterator[tuple[Any, EvalOutcome]]:

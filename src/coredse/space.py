@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+import numpy as np
+
 __all__ = [
     "Ranged",
     "Categorical",
@@ -40,6 +42,7 @@ __all__ = [
     "decode_scaled",
     "decode_order",
     "decode_values",
+    "BatchDecoder",
     "space_cardinality",
     "enumerate_values",
 ]
@@ -346,6 +349,176 @@ def decode_values(
     for block, members in space.blocks.items():
         values[block] = decode_order([keys[m] for m in members])
     return values
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch decode
+
+EXACT_INT = 2**53  # int64 and float64 both hold every integer below this
+
+
+def _decode_range_arrays(b: np.ndarray, low, up, step):
+    """decode_range elementwise: (values, finite), finite False where it raises."""
+    idx_max = (up - low) // step
+    x = (idx_max + 1) * b
+    finite = np.isfinite(x)
+    idx = np.clip(np.floor(np.where(finite, x, 0.0)), 0, idx_max)
+    return low + idx.astype(np.int64) * step, finite
+
+
+@dataclass(frozen=True)
+class _Wave:
+    """Scaled parameters whose sources are all decoded by earlier steps.
+
+    Every source is a chooser column and a row of candidate columns: a
+    plain name or literal has the always-zero column as chooser and one
+    candidate. Missing sources and candidates point at the int64-max column.
+    """
+
+    cols: np.ndarray  # (m,) parameter columns
+    low: np.ndarray  # (m,)
+    step: np.ndarray  # (m,)
+    chooser: np.ndarray  # (m, S) value column of each source's chooser
+    table: np.ndarray  # (m, S, K) value column of each source's candidates
+
+
+class BatchDecoder:
+    """decode_values over a (B, n) raw matrix, as arrays.
+
+    ``decoder(raws)`` returns ``(values, orders, ok)``:
+
+    * values: (B, w) int64, column i holding parameter i's value (0 for
+      sort keys), then constant columns that scaled bounds draw on;
+    * orders: {block: (B, len(block)) slot permutation};
+    * ok: (B,) bool, False on each row for which decode_values raises.
+
+    On ok rows the values equal decode_values' results; other rows hold
+    arbitrary values. Unscaled ranged columns decode in one vectorised step
+    and categorical columns in another. Scaled parameters then decode in
+    waves of equal dependency depth, each wave's bounds gathered from the
+    value matrix in one indexing step. Raises ConfigurationError when a
+    bound or literal source is too large for int64/float64 to reproduce
+    the scalar arithmetic exactly.
+    """
+
+    def __init__(self, space: ParameterSpace, use_scaling: bool = True, on_degenerate: str = "clamp"):
+        n = self.n = len(space.params)
+        self.clamp = on_degenerate == "clamp"
+        # Columns n and n + 1 hold 0 (the chooser of a plain source) and the
+        # int64 maximum (a missing bound); literal sources follow.
+        literal_cols: dict[int, int] = {}
+
+        def literal(v: int) -> int:
+            if abs(v) >= EXACT_INT:
+                raise ConfigurationError(f"literal bound {v} is beyond the batch decode's exact range")
+            return literal_cols.setdefault(v, n + 2 + len(literal_cols))
+
+        def sources(spec: ParamSpec) -> list[tuple[int, list[int]]]:
+            out = []
+            for src in spec.scaled_by:
+                if any(isinstance(space.spec(r).kind, SortKey) for r in _source_names(src)):
+                    raise ConfigurationError(f"{spec.name}: a sort key has no value to bound by")
+                if isinstance(src, Select):
+                    cands = [literal(c) if isinstance(c, int) else space.index[c] for c in src.candidates]
+                    out.append((space.index[src.chooser], cands))
+                else:
+                    out.append((n, [literal(src) if isinstance(src, int) else space.index[src]]))
+            return out
+
+        ranged, cats, waves = [], [], {}
+        depth: dict[str, int] = {}
+        for name in space.order:
+            i = space.index[name]
+            spec = space.params[i]
+            kind = spec.kind
+            depth[name] = 0
+            if isinstance(kind, Categorical):
+                cats.append(i)
+            elif isinstance(kind, Ranged):
+                if max(abs(kind.low), abs(kind.up)) >= EXACT_INT:
+                    raise ConfigurationError(f"{name}: bounds beyond the batch decode's exact range")
+                if spec.scaled_by and use_scaling:
+                    refs = [ref for src in spec.scaled_by for ref in _source_names(src)]
+                    depth[name] = 1 + max((depth[r] for r in refs), default=0)
+                    waves.setdefault(depth[name], []).append((i, kind, sources(spec)))
+                else:
+                    ranged.append(i)
+
+        kinds = [space.params[i].kind for i in ranged]
+        self.ranged = np.asarray(ranged, dtype=np.intp)
+        self.ranged_low = np.asarray([k.low for k in kinds], dtype=np.int64)
+        self.ranged_up = np.asarray([k.up for k in kinds], dtype=np.int64)
+        self.ranged_step = np.asarray([k.step for k in kinds], dtype=np.int64)
+        self.cats = np.asarray(cats, dtype=np.intp)
+        self.cat_k = np.asarray([space.params[i].kind.k for i in cats], dtype=np.int64)
+        self.waves = [self._wave(waves[d], n + 1) for d in sorted(waves)]
+        self.literals = np.asarray([0, np.iinfo(np.int64).max, *literal_cols], dtype=np.int64)
+        self.width = n + len(self.literals)
+        by_size: dict[int, list[str]] = {}
+        for block, members in space.blocks.items():
+            by_size.setdefault(len(members), []).append(block)
+        self.key_groups = [
+            (blocks, np.asarray([[space.index[m] for m in space.blocks[b]] for b in blocks], dtype=np.intp))
+            for blocks in by_size.values()
+        ]
+
+    @staticmethod
+    def _wave(members, pad: int) -> _Wave:
+        n_src = max(len(srcs) for _, _, srcs in members)
+        n_cand = max(len(cands) for _, _, srcs in members for _, cands in srcs)
+        chooser = np.full((len(members), n_src), pad - 1, dtype=np.intp)  # the zero column
+        table = np.full((len(members), n_src, n_cand), pad, dtype=np.intp)
+        for j, (_, _, srcs) in enumerate(members):
+            for s, (col, cands) in enumerate(srcs):
+                chooser[j, s] = col
+                table[j, s, : len(cands)] = cands
+        return _Wave(
+            cols=np.asarray([i for i, _, _ in members], dtype=np.intp),
+            low=np.asarray([k.low for _, k, _ in members], dtype=np.int64),
+            step=np.asarray([k.step for _, k, _ in members], dtype=np.int64),
+            chooser=chooser,
+            table=table,
+        )
+
+    def __call__(self, raws: np.ndarray):
+        n_rows = raws.shape[0]
+        values = np.zeros((n_rows, self.width), dtype=np.int64)
+        values[:, self.n :] = self.literals
+        ok = np.ones(n_rows, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, finite = _decode_range_arrays(
+                raws[:, self.ranged], self.ranged_low, self.ranged_up, self.ranged_step
+            )
+            values[:, self.ranged] = v
+            ok &= finite.all(axis=1)
+            # int() truncates toward zero; a bad row's index becomes 0 so
+            # that it can still choose a candidate below.
+            idx = np.trunc(raws[:, self.cats])
+            good = (idx >= 0) & (idx < self.cat_k)
+            values[:, self.cats] = np.where(good, idx, 0)
+            ok &= good.all(axis=1)
+            for w in self.waves:
+                picked = w.table[
+                    np.arange(w.table.shape[0])[:, None], np.arange(w.table.shape[1]), values[:, w.chooser]
+                ]
+                up = np.take_along_axis(values, picked.reshape(n_rows, -1), axis=1)
+                up = up.reshape(picked.shape).min(axis=2)
+                v, finite = _decode_range_arrays(raws[:, w.cols], w.low, up, w.step)
+                degenerate = up < w.low
+                if self.clamp:
+                    values[:, w.cols] = np.where(degenerate, w.low, v)
+                    ok &= (finite | degenerate).all(axis=1)
+                else:
+                    values[:, w.cols] = v
+                    ok &= (finite & ~degenerate).all(axis=1)
+        orders = {}
+        for blocks, cols in self.key_groups:
+            keys = raws[:, cols]
+            ok &= np.isfinite(keys).all(axis=(1, 2))
+            perms = np.argsort(-keys, axis=2, kind="stable")
+            for j, block in enumerate(blocks):
+                orders[block] = perms[:, j]
+        return values, orders, ok
 
 
 # ---------------------------------------------------------------------------

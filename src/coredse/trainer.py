@@ -7,6 +7,12 @@ surrogate mean(adv * log pi(a)) + beta_e * H(pi) (see `objective`).
 Determinism contract: results are byte-identical across reruns, because
 each sample's randomness comes from a generator seeded by (seed, episode,
 slot) rather than from shared stream state.
+
+A batch is decoded and evaluated by `evaluate_batch`, through the
+problem's array path where it has one. Its body is `_decode_and_eval`,
+and that name must stay: perfbench ends its set-up clock at the first
+call of it, looked up in this module's globals, and a baselines run that
+never calls it fails.
 """
 
 from __future__ import annotations
@@ -169,7 +175,7 @@ def _action_hash(raw: np.ndarray) -> str:
     return hashlib.blake2b(np.ascontiguousarray(raw, dtype=np.float64).tobytes(), digest_size=8).hexdigest()
 
 
-def _decode_and_eval(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOutcome]:
+def _decode_and_eval_one(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOutcome]:
     try:
         design = problem.decode(raw)
     except Exception as exc:
@@ -180,9 +186,31 @@ def _decode_and_eval(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOutcom
         return design, EvalOutcome.failed(f"evaluate: {exc}")
 
 
+def _decode_and_eval(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
+    """The body of `evaluate_batch`, under the name perfbench hooks (see above)."""
+    results = None
+    if problem.evaluate_raws is not None and len(raws):
+        try:
+            matrix = np.asarray(raws)
+        except ValueError:  # ragged rows: the scalar path reports each
+            matrix = None
+        # Only numbers take the array path; anything else gets the scalar path's note.
+        if matrix is not None and matrix.dtype.kind in "fiu" and matrix.shape == (len(raws), problem.n_raw):
+            results = problem.evaluate_raws(matrix.astype(float, copy=False))
+    if results is None:
+        results = [None] * len(raws)
+    return [r if r is not None else _decode_and_eval_one(problem, raw) for r, raw in zip(results, raws)]
+
+
 def evaluate_batch(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
-    """Decode and evaluate a batch, in slot order."""
-    return [_decode_and_eval(problem, r) for r in raws]
+    """Decode and evaluate a batch, in slot order.
+
+    The problem's array path (`Problem.evaluate_raws`) takes the batch where
+    it has one; every row it refuses, and every row of a problem without
+    one, is decoded and evaluated on its own, with errors caught into an
+    anomalous outcome.
+    """
+    return _decode_and_eval(problem, raws)
 
 
 def _update_best(best, best_feasible, episode: int, raws, results, rewards, weights):
@@ -455,12 +483,19 @@ def save_checkpoint(path, state: _LoopState) -> None:
 
 
 def load_checkpoint(path, problem: Problem) -> _LoopState:
+    """Restore a saved state; ValueError if it was saved on another space."""
     with np.load(path) as data:
         n_layers = sum(1 for k in data.files if k.startswith("w"))
         params = PolicyParams(
             weights=[data[f"w{i}"] for i in range(n_layers)],
             biases=[data[f"b{i}"] for i in range(n_layers)],
         )
+        out_width = layout_for_space(problem.space).out_width
+        if params.weights[-1].shape[0] != out_width:
+            raise ValueError(
+                f"checkpoint policy has {params.weights[-1].shape[0]} head outputs, "
+                f"problem {problem.name!r} needs {out_width}"
+            )
         adam_m = [data[f"m{i}"] for i in range(2 * n_layers)]
         adam_v = [data[f"v{i}"] for i in range(2 * n_layers)]
         s = data["scalars"]
@@ -469,6 +504,11 @@ def load_checkpoint(path, problem: Problem) -> _LoopState:
             if f"{label}_raw" not in data.files:
                 return None
             raw = data[f"{label}_raw"]
+            if raw.shape != (problem.n_raw,):
+                raise ValueError(
+                    f"checkpoint {label} design has {raw.size} raw values, "
+                    f"problem {problem.name!r} has {problem.n_raw}"
+                )
             meta = data[f"{label}_meta"]
             return BestDesign(
                 reward=float(meta[0]),

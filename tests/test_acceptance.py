@@ -36,7 +36,6 @@ from coredse.objective import (
     update_running,
 )
 from coredse.policy import (
-    DistributionSet,
     context_vector,
     entropy,
     forward_cached,
@@ -52,6 +51,7 @@ from coredse.policy import (
 from coredse.problems import accelerator_problem
 from coredse.space import decode_range, decode_scaled
 from coredse.trainer import PolicyConfig, TrainConfig, entropy_coefficient, train
+from heads import dists_from_heads
 
 RESNETISH = Workload(
     "resnetish",
@@ -386,9 +386,9 @@ def test_gate6_reward_algebra(capsys):
     with pytest.raises(ValueError):
         anomalous_reward(3.0, 1.0, 2.0, 0, rw)
 
-    flat_beta = DistributionSet.from_heads([("beta", 1.0, 1.0)])
+    flat_beta = dists_from_heads([("beta", 1.0, 1.0)])
     check("flat beta entropy", abs(entropy(flat_beta)) < tol)
-    uniform6 = DistributionSet.from_heads([("cat", np.full(6, 1.0 / 6.0))])
+    uniform6 = dists_from_heads([("cat", np.full(6, 1.0 / 6.0))])
     check("uniform choice entropy", abs(entropy(uniform6) - math.log(6.0)) < tol)
 
     rng = np.random.default_rng([6, 6])
@@ -396,7 +396,7 @@ def test_gate6_reward_algebra(capsys):
     for _ in range(200):
         def fresh():
             probs = rng.random(6) + 1e-3
-            return DistributionSet.from_heads(
+            return dists_from_heads(
                 [("beta", rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)), ("cat", probs / probs.sum())]
             )
 

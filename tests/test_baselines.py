@@ -39,6 +39,31 @@ def test_genome_to_raw_buckets_categorical_genes():
     assert genome_to_raw(space, np.array([0.5, 0.5]))[0] == 0.5
 
 
+def test_genome_to_raw_of_a_matrix_matches_the_per_genome_loop():
+    space = ParameterSpace(
+        (
+            ParamSpec("v", Ranged(0, 15)),
+            ParamSpec("pick", Categorical(6)),
+            ParamSpec("two", Categorical(2)),
+            ParamSpec("seven", Categorical(7)),
+        )
+    )
+
+    def reference(genome):
+        raw = np.array(genome, dtype=float)
+        for i, p in enumerate(space.params):
+            if isinstance(p.kind, Categorical):
+                raw[i] = min(int(p.kind.k * genome[i]), p.kind.k - 1)
+        return raw
+
+    genomes = np.random.default_rng(4).random((200, 4))
+    genomes[:5] = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [-0.0] * 4]
+    genomes[5:, 3] = np.arange(195) / 194  # on and between the 1/7 bucket edges
+    got = genome_to_raw(space, genomes)
+    want = np.stack([reference(g) for g in genomes])
+    assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
+
+
 # ---------------------------------------------------------------------------
 # GA
 

@@ -18,7 +18,6 @@ from coredse.objective import (
 )
 from coredse.policy import (
     CompoundAction,
-    DistributionSet,
     DomainError,
     entropy,
     heads_from_raw,
@@ -32,6 +31,7 @@ from coredse.policy import (
 from scipy.special import polygamma
 
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged, ShapeError, SortKey
+from heads import dists_from_heads
 
 
 def softmax(z):
@@ -41,7 +41,7 @@ def softmax(z):
 
 
 def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 3.0), logits=(0.3, -0.2, 0.8)):
-    return DistributionSet.from_heads(
+    return dists_from_heads(
         [
             ("beta", alphas[0], betas[0]),
             ("cat", softmax(logits)),
@@ -355,7 +355,7 @@ def test_batched_log_probs_match_scalar_log_prob():
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     # A zero-probability category gives -inf, as log_prob does.
-    p = DistributionSet.from_heads([("beta", 2.0, 3.0), ("cat", [0.5, 0.5, 0.0])])
+    p = dists_from_heads([("beta", 2.0, 3.0), ("cat", [0.5, 0.5, 0.0])])
     zero = [act(0.4, 2), act(0.4, 1)]
     got = log_probs(p, stack_actions(p.layout, zero))
     assert got[0] == -np.inf and log_prob(p, zero[0]) == -np.inf

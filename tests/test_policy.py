@@ -7,7 +7,6 @@ import pytest
 from coredse.policy import (
     CHECKPOINT_MAGIC,
     CompoundAction,
-    DistributionSet,
     DomainError,
     PolicyNumericsError,
     RAW_CLIP,
@@ -28,6 +27,7 @@ from coredse.policy import (
     save_params,
 )
 from coredse.space import ParameterSpace, ParamSpec, Categorical, Ranged, ShapeError, SortKey
+from heads import dists_from_heads
 
 
 # Reference values computed with scipy.stats.beta / scipy.integrate.quad.
@@ -52,7 +52,7 @@ def mixed_space() -> ParameterSpace:
 def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 1.0), probs=None):
     if probs is None:
         probs = np.full(6, 1.0 / 6.0)
-    return DistributionSet.from_heads(
+    return dists_from_heads(
         [("beta", alphas[0], betas[0]), ("cat", probs), ("beta", alphas[1], betas[1])]
     )
 
@@ -149,7 +149,7 @@ def test_nonfinite_activations_raise():
 
 
 def test_log_prob_matches_beta_reference():
-    dists = DistributionSet.from_heads([("beta", A0, A0)])
+    dists = dists_from_heads([("beta", A0, A0)])
     got = log_prob(dists, CompoundAction(raw=np.array([0.3])))
     assert abs(got - LOGPDF_A0_03) < 1e-12
     got = log_prob(dists, CompoundAction(raw=np.array([0.5])))
@@ -161,25 +161,25 @@ def test_log_prob_sums_over_heads():
     action = CompoundAction(raw=np.array([0.3, 2.0, 0.5]))
     got = log_prob(dists, action)
     only_beta1 = log_prob(
-        DistributionSet.from_heads([("beta", 2.0, 5.0)]),
+        dists_from_heads([("beta", 2.0, 5.0)]),
         CompoundAction(raw=np.array([0.3])),
     )
     only_beta2 = log_prob(
-        DistributionSet.from_heads([("beta", 1.5, 1.0)]),
+        dists_from_heads([("beta", 1.5, 1.0)]),
         CompoundAction(raw=np.array([0.5])),
     )
     assert abs(got - (only_beta1 + math.log(1.0 / 6.0) + only_beta2)) < 1e-12
 
 
 def test_log_prob_rejects_boundary_values():
-    dists = DistributionSet.from_heads([("beta", 2.0, 2.0)])
+    dists = dists_from_heads([("beta", 2.0, 2.0)])
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             log_prob(dists, CompoundAction(raw=np.array([bad])))
 
 
 def test_log_prob_rejects_bad_category_index():
-    dists = DistributionSet.from_heads([("cat", np.full(6, 1 / 6))])
+    dists = dists_from_heads([("cat", np.full(6, 1 / 6))])
     for bad in (-1.0, 6.0):
         with pytest.raises(DomainError):
             log_prob(dists, CompoundAction(raw=np.array([bad])))
@@ -192,7 +192,7 @@ def test_log_prob_rejects_wrong_length():
 
 
 def test_log_prob_zero_probability_category():
-    dists = DistributionSet.from_heads([("cat", np.array([1.0, 0.0]))])
+    dists = dists_from_heads([("cat", np.array([1.0, 0.0]))])
     action = CompoundAction(raw=np.array([1.0]))
     assert log_prob(dists, action) == -np.inf
 
@@ -202,17 +202,17 @@ def test_log_prob_zero_probability_category():
 
 
 def test_entropy_reference_values():
-    assert abs(entropy(DistributionSet.from_heads([("beta", 1.0, 1.0)]))) < 1e-12
-    got = entropy(DistributionSet.from_heads([("beta", A0, A0)]))
+    assert abs(entropy(dists_from_heads([("beta", 1.0, 1.0)]))) < 1e-12
+    got = entropy(dists_from_heads([("beta", A0, A0)]))
     assert abs(got - ENTROPY_A0) < 1e-12
-    got = entropy(DistributionSet.from_heads([("beta", 2.0, 5.0)]))
+    got = entropy(dists_from_heads([("beta", 2.0, 5.0)]))
     assert abs(got - ENTROPY_2_5) < 1e-12
-    got = entropy(DistributionSet.from_heads([("cat", np.full(6, 1 / 6))]))
+    got = entropy(dists_from_heads([("cat", np.full(6, 1 / 6))]))
     assert abs(got - math.log(6.0)) < 1e-12
 
 
 def test_entropy_sums_and_handles_zero_probs():
-    dists = DistributionSet.from_heads(
+    dists = dists_from_heads(
         [("beta", 2.0, 5.0), ("cat", np.array([0.5, 0.5, 0.0]))]
     )
     assert abs(entropy(dists) - (ENTROPY_2_5 + math.log(2.0))) < 1e-12
@@ -224,8 +224,8 @@ def test_kl_self_is_zero():
 
 
 def test_kl_beta_reference_value():
-    p = DistributionSet.from_heads([("beta", 2.0, 5.0)])
-    q = DistributionSet.from_heads([("beta", 3.0, 1.5)])
+    p = dists_from_heads([("beta", 2.0, 5.0)])
+    q = dists_from_heads([("beta", 3.0, 1.5)])
     assert abs(kl(p, q) - KL_25_3_15) < 1e-12
 
 
@@ -234,22 +234,22 @@ def test_kl_categorical_nonnegative():
     for _ in range(50):
         a = rng.random(6) + 1e-3
         b = rng.random(6) + 1e-3
-        p = DistributionSet.from_heads([("cat", a / a.sum())])
-        q = DistributionSet.from_heads([("cat", b / b.sum())])
+        p = dists_from_heads([("cat", a / a.sum())])
+        q = dists_from_heads([("cat", b / b.sum())])
         assert kl(p, q) >= -1e-12
 
 
 def test_kl_infinite_when_old_support_missing():
-    p = DistributionSet.from_heads([("cat", np.array([0.5, 0.5]))])
-    q = DistributionSet.from_heads([("cat", np.array([1.0, 0.0]))])
+    p = dists_from_heads([("cat", np.array([0.5, 0.5]))])
+    q = dists_from_heads([("cat", np.array([1.0, 0.0]))])
     assert kl(p, q) == np.inf
     # the other direction stays finite: new puts no mass where old is zero
     assert np.isfinite(kl(q, p))
 
 
 def test_kl_rejects_mismatched_structure():
-    p = DistributionSet.from_heads([("beta", 2.0, 2.0)])
-    q = DistributionSet.from_heads([("cat", np.array([0.5, 0.5]))])
+    p = dists_from_heads([("beta", 2.0, 2.0)])
+    q = dists_from_heads([("cat", np.array([0.5, 0.5]))])
     with pytest.raises(ShapeError):
         kl(p, q)
 
@@ -278,7 +278,7 @@ def test_sample_respects_supports():
 
 def test_sample_beta_moments():
     # Beta(2, 5): mean 2/7, var 10/392
-    dists = DistributionSet.from_heads([("beta", 2.0, 5.0)])
+    dists = dists_from_heads([("beta", 2.0, 5.0)])
     rng = np.random.default_rng(123)
     n = 20000
     draws = np.array([sample(dists, rng).raw[0] for _ in range(n)])
@@ -288,7 +288,7 @@ def test_sample_beta_moments():
 
 def test_sample_categorical_frequencies():
     probs = np.array([0.5, 0.2, 0.1, 0.1, 0.05, 0.05])
-    dists = DistributionSet.from_heads([("cat", probs)])
+    dists = dists_from_heads([("cat", probs)])
     rng = np.random.default_rng(321)
     n = 20000
     counts = np.zeros(6)
@@ -300,7 +300,7 @@ def test_sample_categorical_frequencies():
 
 
 def test_sample_zero_probability_category_never_drawn():
-    dists = DistributionSet.from_heads([("cat", np.array([0.0, 1.0, 0.0]))])
+    dists = dists_from_heads([("cat", np.array([0.0, 1.0, 0.0]))])
     rng = np.random.default_rng(2)
     for _ in range(50):
         assert sample(dists, rng).raw[0] == 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from coredse.objective import EvalOutcome, RewardConfig
 from coredse.problems import Problem, toy_line_problem
-from coredse.space import ParameterSpace, ParamSpec, Ranged
+from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
 from coredse.policy import PolicyParams
 from coredse.trainer import (
     ADAM_BETA1,
@@ -117,6 +117,24 @@ def test_evaluate_batch_wraps_evaluator_errors():
     ((design, outcome),) = evaluate_batch(p, [np.array([0.2])])
     assert design == 3
     assert outcome.anomalous and outcome.note == "evaluate: model blew up"
+
+
+def test_evaluate_batch_calls_the_hooked_name_once_per_batch(monkeypatch):
+    # perfbench ends its set-up clock at the first call of this name.
+    from coredse import trainer
+
+    calls = []
+    original = trainer._decode_and_eval
+
+    def counting(problem, raws):
+        calls.append(len(raws))
+        return original(problem, raws)
+
+    monkeypatch.setattr(trainer, "_decode_and_eval", counting)
+    p = toy_line_problem()
+    evaluate_batch(p, [np.array([0.1]), np.array([0.9])])
+    evaluate_batch(p, [np.array([0.5])])
+    assert calls == [2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +277,24 @@ def test_checkpoint_restores_best_designs(tmp_path):
     assert state.adam_step == res.state.adam_step
 
 
+def test_checkpoint_refuses_another_space(tmp_path):
+    def problem(name, *specs):
+        return Problem(name, ParameterSpace(specs), lambda raw: int(raw[0]), lambda d: EvalOutcome.ok((float(d),)))
+
+    # Two ranged parameters take 4 head outputs and 2 raw values; the line
+    # takes 2 outputs, and one categorical of 4 choices 4 outputs but 1 raw value.
+    two = problem("two", ParamSpec("a", Ranged(0, 15)), ParamSpec("b", Ranged(0, 15)))
+    pick = problem("pick", ParamSpec("c", Categorical(4)))
+    for saved_on, match in ((toy_line_problem(), "head outputs"), (pick, "raw values")):
+        res = train(saved_on, line_cfg(max_episodes=2))
+        assert res.best is not None
+        path = tmp_path / f"{saved_on.name}.npz"
+        save_checkpoint(path, res.state)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path, two)
+        load_checkpoint(path, saved_on)
+
+
 def test_checkpoint_handles_missing_best(tmp_path):
     res = train(failing_problem(), line_cfg(max_episodes=1))
     path = tmp_path / "ck.npz"
@@ -333,6 +369,8 @@ def test_adam_step_matches_whole_array_reference(tmp_path):
     check_steps(state, 3, 1e-3)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, state)
-    restored = load_checkpoint(path, toy_line_problem())
+    # 50 ranged parameters: two Beta head outputs each, the last layer's 100.
+    wide = ParameterSpace(tuple(ParamSpec(f"v{i}", Ranged(0, 1)) for i in range(sizes[-1] // 2)))
+    restored = load_checkpoint(path, Problem("wide", wide, lambda raw: 0, lambda d: EvalOutcome.ok((0.0,))))
     assert restored.adam_step == 3
     check_steps(restored, 3, 3e-2)
