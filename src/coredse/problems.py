@@ -69,7 +69,9 @@ def accelerator_problem(
         return config.to_dict()
 
     evaluate_raws = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts))
-    return Problem(name, codesign.space, decode, evaluate, describe, codesign=codesign, evaluate_raws=evaluate_raws)
+    return Problem(
+        name, codesign.space, decode, evaluate, describe, codesign=codesign, evaluate_raws=evaluate_raws
+    )
 
 
 def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price):
@@ -89,8 +91,8 @@ def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price):
         batch, decoded = decode_batch(raws)
         outcomes = price(batch, decoded)
         rows = [i for i, o in enumerate(outcomes) if o is not None]
-        designs = dict(zip(rows, batch.take(rows).configs()))
-        return [None if o is None else (designs[i], o) for i, o in enumerate(outcomes)]
+        designs = iter(batch.take(rows).configs())
+        return [None if o is None else (next(designs), o) for o in outcomes]
 
     return evaluate_raws
 

@@ -57,7 +57,7 @@ def test_genome_to_raw_of_a_matrix_matches_the_per_genome_loop():
         return raw
 
     genomes = np.random.default_rng(4).random((200, 4))
-    genomes[:5] = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [-0.0] * 4]
+    genomes[:5] = [[0.0] * 4, [1.0] * 4, [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [-0.0] * 4]
     genomes[5:, 3] = np.arange(195) / 194  # on and between the 1/7 bucket edges
     got = genome_to_raw(space, genomes)
     want = np.stack([reference(g) for g in genomes])

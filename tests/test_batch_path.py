@@ -25,7 +25,9 @@ RESNETISH = Workload(
     ),
 )
 # The benchmark's ResNet-like space.
-NARROW = SpaceOptions(n_pe=(2, 128, 2), l1_bytes=(256, 1024, 256), l2_bytes=(16384, 131072, 16384), vary_level1=False)
+NARROW = SpaceOptions(
+    n_pe=(2, 128, 2), l1_bytes=(256, 1024, 256), l2_bytes=(16384, 131072, 16384), vary_level1=False
+)
 TOY_WL = Workload("toy", (Layer(K=25, C=13, X=11, Y=11, R=3, S=3),))
 TOY = SpaceOptions(
     n_pe=64,
@@ -72,7 +74,11 @@ def test_gate8_configs_match_scalar():
 
 @pytest.mark.parametrize(
     "workload,options",
-    [(RESNETISH, NARROW), (TOY_WL, TOY), (RESNETISH, SpaceOptions(include_order=False, vary_parallel_dim=False))],
+    [
+        (RESNETISH, NARROW),
+        (TOY_WL, TOY),
+        (RESNETISH, SpaceOptions(include_order=False, vary_parallel_dim=False)),
+    ],
 )
 def test_fixed_and_narrow_spaces_match_scalar(workload, options):
     problem = accelerator_problem(workload, platform_by_name("edge"), options)
@@ -141,6 +147,7 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     assert evaluate_batch(problem, raws) == [_decode_and_eval_one(problem, r) for r in raws]
     # Float bytes per element, or a bound past 2**53, leave it scalar too.
     edge = platform_by_name("edge")
-    assert accelerator_problem(RESNETISH, edge, consts=CostConstants(bytes_per_element=2.0)).evaluate_raws is None
+    float_bytes = CostConstants(bytes_per_element=2.0)
+    assert accelerator_problem(RESNETISH, edge, consts=float_bytes).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=(1, 2**60, 1))).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge).evaluate_raws is not None

@@ -279,7 +279,8 @@ def test_checkpoint_restores_best_designs(tmp_path):
 
 def test_checkpoint_refuses_another_space(tmp_path):
     def problem(name, *specs):
-        return Problem(name, ParameterSpace(specs), lambda raw: int(raw[0]), lambda d: EvalOutcome.ok((float(d),)))
+        decode, evaluate = lambda raw: int(raw[0]), lambda d: EvalOutcome.ok((float(d),))
+        return Problem(name, ParameterSpace(specs), decode, evaluate)
 
     # Two ranged parameters take 4 head outputs and 2 raw values; the line
     # takes 2 outputs, and one categorical of 4 choices 4 outputs but 1 raw value.
