@@ -202,7 +202,7 @@ class DesignBatch:
 
     Axis 1 is the layer and axis 2 the level (0 for level 1, 1 for level 2).
     Tiles are in canonical (S,R,K,C,X,Y) order, orders hold dim indices
-    outermost first, and a parallel dim that is not a dim name reads -1.
+    outermost first, and parallel dims are dim indices.
     """
 
     n_pe: np.ndarray  # (B,)
@@ -217,7 +217,7 @@ class DesignBatch:
         return DesignBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def configs(self) -> list[DesignConfig]:
-        """One DesignConfig per row; every order a permutation, every parallel dim a dim."""
+        """One DesignConfig per row."""
         n_rows, n_layers = self.tiles.shape[:2]
         orders = map(_ORDER_NAMES.__getitem__, (self.order @ _ORDER_CODE).ravel().tolist())
         pdims = map(DIMS.__getitem__, self.parallel_dim.ravel().tolist())
@@ -250,14 +250,13 @@ def valid_rows(batch: DesignBatch, workload: Workload) -> np.ndarray:
     pdim, par = batch.parallel_dim, batch.parallelism
     levels = (
         (np.sort(batch.order, axis=-1) == np.arange(6)).all(axis=-1)
-        & (pdim >= 0)
         & (batch.tiles >= 1).all(axis=-1)
         & (par >= 1)
     )
     t1, t2 = batch.tiles[:, :, 0], batch.tiles[:, :, 1]
     dims = np.asarray([layer.dims() for layer in workload.layers])
     nested = (t2 <= dims).all(axis=-1) & (t1 <= t2).all(axis=-1)
-    caps = np.take_along_axis(t2, np.maximum(pdim, 0), axis=-1)
+    caps = np.take_along_axis(t2, pdim, axis=-1)
     caps[:, :, 0] = np.minimum(caps[:, :, 0], n_pe[:, None])
     return ok & (levels.all(axis=-1) & nested & (par <= caps).all(axis=-1)).all(axis=-1)
 
@@ -415,7 +414,7 @@ class CoDesignSpace:
         ok is False on each row for which decode() raises; on the other rows
         ``DesignBatch.configs()`` equals decode()'s designs. Raises
         ConfigurationError when a bound is too large to decode exactly in
-        int64 (see `BatchDecoder`).
+        int64 (see `BatchDecoder`), or a fixed parallel dim is not a dim name.
         """
         decoder = BatchDecoder(self.space, use_scaling=use_scaling)
         n_layers = len(self.workload.layers)
@@ -435,7 +434,9 @@ class CoDesignSpace:
             if name not in self.space.index:
                 v = self.fixed[name]
                 if ".pdim" in name:
-                    v = DIM_INDEX.get(v, -1) if isinstance(v, str) else -1
+                    if not (isinstance(v, str) and v in DIM_INDEX):
+                        raise ConfigurationError(f"{name}: {v!r} is not a dim name")
+                    v = DIM_INDEX[v]
                 elif abs(int(v)) >= EXACT_INT:
                     raise ConfigurationError(f"{name}: {v} is beyond the batch decode's exact range")
                 fixed[name] = int(v)

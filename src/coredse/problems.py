@@ -4,7 +4,9 @@ The trainer and the baseline searchers only ever see this interface, so
 swapping the accelerator model for a toy function needs no changes on
 their side. A problem may also carry an array path that decodes and
 evaluates a whole raw matrix at once; `decode` and `evaluate` stay its
-reference, and the path for every row it refuses.
+reference, and the path for every row it refuses. The array path is tied
+to the `decode` and `evaluate` it reproduces: a copy of the problem with
+either replaced (a wrapper, a cache, another model) has none.
 """
 
 from __future__ import annotations
@@ -21,13 +23,25 @@ from .space import ConfigurationError, ParameterSpace, decode_values, space_card
 
 
 @dataclass(frozen=True)
+class ArrayPath:
+    """A whole-batch decode-then-evaluate and the two callables it reproduces.
+
+    run: (B, n) raw matrix -> per row (design, outcome) equal to
+        evaluate(decode(raw))'s, or None for a row it refuses
+    """
+
+    decode: Callable[[Sequence[float]], Any]
+    evaluate: Callable[[Any], EvalOutcome]
+    run: Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]]
+
+
+@dataclass(frozen=True)
 class Problem:
     """A searchable design problem.
 
     decode: raw vector in [0,1)^n -> design object
     evaluate: design object -> EvalOutcome
-    evaluate_raws: optional (B, n) raw matrix -> per row (design, outcome)
-        equal to decode-then-evaluate's, or None for a row it refuses
+    array_path: optional batch form of decode-then-evaluate (see `evaluate_raws`)
     """
 
     name: str
@@ -36,11 +50,19 @@ class Problem:
     evaluate: Callable[[Any], EvalOutcome]
     describe: Callable[[Any], dict] = field(default=lambda d: {"design": repr(d)})
     codesign: CoDesignSpace | None = None
-    evaluate_raws: Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]] | None = None
+    array_path: ArrayPath | None = None
 
     @property
     def n_raw(self) -> int:
         return len(self.space.params)
+
+    @property
+    def evaluate_raws(self) -> Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]] | None:
+        """The array path's run, while decode and evaluate are the callables it reproduces."""
+        path = self.array_path
+        if path is None or path.decode is not self.decode or path.evaluate is not self.evaluate:
+            return None
+        return path.run
 
     def cardinality(self, limit: int | None = None) -> int | None:
         return space_cardinality(self.space, limit=limit)
@@ -68,31 +90,42 @@ def accelerator_problem(
     def describe(config: DesignConfig) -> dict:
         return config.to_dict()
 
-    evaluate_raws = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts))
-    return Problem(
-        name, codesign.space, decode, evaluate, describe, codesign=codesign, evaluate_raws=evaluate_raws
-    )
+    run = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts), evaluate)
+    path = None if run is None else ArrayPath(decode, evaluate, run)
+    return Problem(name, codesign.space, decode, evaluate, describe, codesign=codesign, array_path=path)
 
 
-def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price):
+def evaluate_caught(evaluate: Callable[[Any], EvalOutcome], design) -> EvalOutcome:
+    """evaluate(design), with an error caught into an anomalous outcome."""
+    try:
+        return evaluate(design)
+    except Exception as exc:
+        return EvalOutcome.failed(f"evaluate: {exc}")
+
+
+def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate):
     """accelerator_problem's array path, or None where it could not match decode-then-evaluate.
 
-    A row is refused where decode raises or the design breaks a structural
-    rule; the scalar path then gives its exact note.
+    A row is refused where decode raises; the scalar path then gives its
+    exact note. A decoded design that breaks a structural rule goes to the
+    scalar evaluate, which names the rule.
     """
     if price is None:
         return None
     try:
         decode_batch = codesign.batch_decoder(use_scaling)
-    except ConfigurationError:  # a bound beyond the exact int64 range
+    except ConfigurationError:  # a bound beyond the exact int64 range, or a fixed parallel dim that is no dim
         return None
 
     def evaluate_raws(raws: np.ndarray) -> list[tuple[DesignConfig, EvalOutcome] | None]:
         batch, decoded = decode_batch(raws)
         outcomes = price(batch, decoded)
-        rows = [i for i, o in enumerate(outcomes) if o is not None]
-        designs = iter(batch.take(rows).configs())
-        return [None if o is None else (next(designs), o) for o in outcomes]
+        rows = np.flatnonzero(decoded)
+        results: list[tuple[DesignConfig, EvalOutcome] | None] = [None] * len(raws)
+        for i, design in zip(rows.tolist(), batch.take(rows).configs()):
+            outcome = outcomes[i]
+            results[i] = (design, outcome if outcome is not None else evaluate_caught(evaluate, design))
+        return results
 
     return evaluate_raws
 

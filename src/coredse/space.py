@@ -390,7 +390,8 @@ class BatchDecoder:
     * values: (B, w) int64, column i holding parameter i's value (0 for
       sort keys), then constant columns that scaled bounds draw on;
     * orders: {block: (B, len(block)) slot permutation};
-    * ok: (B,) bool, False on each row for which decode_values raises.
+    * ok: (B,) bool, False on each row for which decode_values raises
+      (with its default ``on_degenerate="clamp"``).
 
     On ok rows the values equal decode_values' results; other rows hold
     arbitrary values. Unscaled ranged columns decode in one vectorised step
@@ -401,9 +402,8 @@ class BatchDecoder:
     the scalar arithmetic exactly.
     """
 
-    def __init__(self, space: ParameterSpace, use_scaling: bool = True, on_degenerate: str = "clamp"):
+    def __init__(self, space: ParameterSpace, use_scaling: bool = True):
         n = self.n = len(space.params)
-        self.clamp = on_degenerate == "clamp"
         # Columns n and n + 1 hold 0 (the chooser of a plain source) and the
         # int64 maximum (a missing bound); literal sources follow.
         literal_cols: dict[int, int] = {}
@@ -505,12 +505,8 @@ class BatchDecoder:
                 up = up.reshape(picked.shape).min(axis=2)
                 v, finite = _decode_range_arrays(raws[:, w.cols], w.low, up, w.step)
                 degenerate = up < w.low
-                if self.clamp:
-                    values[:, w.cols] = np.where(degenerate, w.low, v)
-                    ok &= (finite | degenerate).all(axis=1)
-                else:
-                    values[:, w.cols] = v
-                    ok &= (finite & ~degenerate).all(axis=1)
+                values[:, w.cols] = np.where(degenerate, w.low, v)
+                ok &= (finite | degenerate).all(axis=1)
         orders = {}
         for blocks, cols in self.key_groups:
             keys = raws[:, cols]

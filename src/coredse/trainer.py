@@ -45,7 +45,7 @@ from .policy import (
     mlp_backward,
     sample,
 )
-from .problems import Problem
+from .problems import Problem, evaluate_caught
 
 __all__ = [
     "PolicyConfig",
@@ -180,23 +180,21 @@ def _decode_and_eval_one(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOu
         design = problem.decode(raw)
     except Exception as exc:
         return None, EvalOutcome.failed(f"decode: {exc}")
-    try:
-        return design, problem.evaluate(design)
-    except Exception as exc:
-        return design, EvalOutcome.failed(f"evaluate: {exc}")
+    return design, evaluate_caught(problem.evaluate, design)
 
 
 def _decode_and_eval(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
     """The body of `evaluate_batch`, under the name perfbench hooks (see above)."""
     results = None
-    if problem.evaluate_raws is not None and len(raws):
+    evaluate_raws = problem.evaluate_raws
+    if evaluate_raws is not None and len(raws):
         try:
             matrix = np.asarray(raws)
         except ValueError:  # ragged rows: the scalar path reports each
             matrix = None
         # Only numbers take the array path; anything else gets the scalar path's note.
         if matrix is not None and matrix.dtype.kind in "fiu" and matrix.shape == (len(raws), problem.n_raw):
-            results = problem.evaluate_raws(matrix.astype(float, copy=False))
+            results = evaluate_raws(matrix.astype(float, copy=False))
     if results is None:
         results = [None] * len(raws)
     return [r if r is not None else _decode_and_eval_one(problem, raw) for r, raw in zip(results, raws)]
@@ -207,8 +205,8 @@ def evaluate_batch(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
 
     The problem's array path (`Problem.evaluate_raws`) takes the batch where
     it has one; every row it refuses, and every row of a problem without
-    one, is decoded and evaluated on its own, with errors caught into an
-    anomalous outcome.
+    one (or whose decode or evaluate was replaced), is decoded and
+    evaluated on its own, with errors caught into an anomalous outcome.
     """
     return _decode_and_eval(problem, raws)
 

@@ -2,7 +2,8 @@
 
 `Problem.evaluate_raws` must give designs and outcomes equal (notes
 included) to decoding and simulating one design at a time, and every row
-it refuses must reach the scalar path through `evaluate_batch`.
+it refuses must reach the scalar path through `evaluate_batch`. A problem
+whose decode or evaluate is replaced loses the array path.
 """
 
 import dataclasses
@@ -41,35 +42,40 @@ TOY = SpaceOptions(
 )
 
 
-def matches_scalar(problem, raws, batch=32) -> int:
-    """Assert batch == scalar over raws, in batches; return the rows the array path refused."""
+def matches_scalar(problem, raws, batch=32) -> tuple[int, int]:
+    """Assert batch == scalar over raws, in batches.
+
+    Returns the rows the array path refused and the anomalous outcomes.
+    """
     refused = []
-    evaluate_raws = problem.evaluate_raws
+    run = problem.array_path.run
 
     def counting(matrix):
-        out = evaluate_raws(matrix)
+        out = run(matrix)
         refused.append(sum(r is None for r in out))
         return out
 
-    counted = dataclasses.replace(problem, evaluate_raws=counting)
+    counted = dataclasses.replace(problem, array_path=dataclasses.replace(problem.array_path, run=counting))
+    anomalous = 0
     for i in range(0, len(raws), batch):
         chunk = raws[i : i + batch]
         want = [_decode_and_eval_one(problem, r) for r in chunk]
         assert evaluate_batch(counted, chunk) == want, f"rows {i}..{i + len(chunk) - 1}"
+        anomalous += sum(outcome.anomalous for _, outcome in want)
     assert len(refused) == -(-len(raws) // batch)  # the array path saw every batch
-    return sum(refused)
+    return sum(refused), anomalous
 
 
 def test_gate1_raws_match_scalar():
     problem = accelerator_problem(RESNETISH, platform_by_name("edge"))
     raws = np.random.default_rng([1]).random((100_000, problem.n_raw))
-    assert matches_scalar(problem, raws) == 0
+    assert matches_scalar(problem, raws) == (0, 0)
 
 
 def test_gate8_configs_match_scalar():
     problem = accelerator_problem(RESNETISH, platform_by_name("cloud"))
     raws = np.random.default_rng([8]).random((3400, problem.n_raw))
-    assert matches_scalar(problem, raws) == 0
+    assert matches_scalar(problem, raws) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +89,7 @@ def test_gate8_configs_match_scalar():
 def test_fixed_and_narrow_spaces_match_scalar(workload, options):
     problem = accelerator_problem(workload, platform_by_name("edge"), options)
     raws = np.random.default_rng([2]).random((2000, problem.n_raw))
-    assert matches_scalar(problem, raws) == 0
+    assert matches_scalar(problem, raws) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -93,13 +99,15 @@ def test_fixed_and_narrow_spaces_match_scalar(workload, options):
         (SpaceOptions(), False),
         (SpaceOptions(n_pe=(0, 64, 2)), True),  # n_pe 0: par1's bound clamps, and the design is invalid
         (SpaceOptions(n_pe=(1, 63, 2)), True),  # odd PE counts
-        (SpaceOptions(include_parallel=False, fixed_parallel_dim="Z", fixed_parallelism=0), True),
+        (SpaceOptions(include_parallel=False, fixed_parallelism=0), True),
     ],
 )
 def test_structurally_invalid_rows_match_scalar(options, use_scaling):
+    """Decoded designs that break a rule are not refused: the scalar evaluate names the rule."""
     problem = accelerator_problem(RESNETISH, platform_by_name("edge"), options, use_scaling=use_scaling)
     raws = np.random.default_rng([3]).random((1000, problem.n_raw))
-    assert matches_scalar(problem, raws) > 0
+    refused, anomalous = matches_scalar(problem, raws)
+    assert refused == 0 and anomalous > 0
 
 
 @pytest.mark.parametrize(
@@ -111,10 +119,11 @@ def test_structurally_invalid_rows_match_scalar(options, use_scaling):
         SpaceOptions(n_pe=(2, 8, 2), tile_dims=("K",), include_parallel=False, include_order=False),
     ],
 )
-def test_a_single_broken_rule_is_refused(options):
+def test_a_single_broken_rule_matches_scalar(options):
     problem = accelerator_problem(TOY_WL, platform_by_name("cloud"), options, use_scaling=False)
     raws = np.random.default_rng([7]).random((1000, problem.n_raw))
-    assert 0 < matches_scalar(problem, raws) < len(raws)
+    refused, anomalous = matches_scalar(problem, raws)
+    assert refused == 0 and 0 < anomalous < len(raws)
 
 
 def test_non_finite_and_out_of_range_raws_match_scalar():
@@ -128,7 +137,8 @@ def test_non_finite_and_out_of_range_raws_match_scalar():
         raws[row, rng.integers(problem.n_raw)] = bad[k % len(bad)]
     for k, row in enumerate(range(1, 1600, 8)):
         raws[row, cats[k % len(cats)]] = (6.0, 7.5, -1.0, -0.5, 5.999)[k % 5]
-    assert matches_scalar(problem, raws) > 0
+    refused, anomalous = matches_scalar(problem, raws)
+    assert 0 < refused == anomalous
 
 
 def test_rows_that_are_not_number_matrices_take_the_scalar_path():
@@ -151,3 +161,32 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     assert accelerator_problem(RESNETISH, edge, consts=float_bytes).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=(1, 2**60, 1))).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge).evaluate_raws is not None
+
+
+def test_a_fixed_parallel_dim_that_is_no_dim_leaves_the_problem_scalar():
+    options = SpaceOptions(include_parallel=False, fixed_parallel_dim="Z", fixed_parallelism=0)
+    problem = accelerator_problem(RESNETISH, platform_by_name("edge"), options)
+    assert problem.evaluate_raws is None
+    raws = np.random.default_rng([3]).random((64, problem.n_raw))
+    results = evaluate_batch(problem, raws)
+    assert results == [_decode_and_eval_one(problem, r) for r in raws]
+    assert all(outcome.anomalous for _, outcome in results)
+
+
+@pytest.mark.parametrize("field", ["decode", "evaluate"])
+def test_a_replaced_decode_or_evaluate_sees_every_design(field):
+    """A wrapped callable must not be skipped by the array path built for the original."""
+    problem = accelerator_problem(RESNETISH, platform_by_name("edge"), NARROW)
+    original = getattr(problem, field)
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return original(x)
+
+    replaced = dataclasses.replace(problem, **{field: wrapped})
+    assert replaced.evaluate_raws is None
+    raws = np.random.default_rng([9]).random((64, problem.n_raw))
+    for i in range(0, 64, 32):
+        assert evaluate_batch(replaced, raws[i : i + 32]) == evaluate_batch(problem, raws[i : i + 32])
+    assert len(calls) == 64

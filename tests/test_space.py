@@ -321,15 +321,15 @@ def _batch_raws(space, n_rows=3000):
     return raws
 
 
-@pytest.mark.parametrize("use_scaling,on_degenerate", [(True, "clamp"), (True, "raise"), (False, "clamp")])
-def test_batch_decoder_matches_decode_values(use_scaling, on_degenerate):
+@pytest.mark.parametrize("use_scaling", [True, False])
+def test_batch_decoder_matches_decode_values(use_scaling):
     space = _batch_space()
     raws = _batch_raws(space)
-    values, orders, ok = BatchDecoder(space, use_scaling, on_degenerate)(raws)
+    values, orders, ok = BatchDecoder(space, use_scaling)(raws)
     refused = degenerate = 0
     for r, raw in enumerate(raws):
         try:
-            want = decode_values(space, raw, use_scaling=use_scaling, on_degenerate=on_degenerate)
+            want = decode_values(space, raw, use_scaling=use_scaling)
         except (ConfigurationError, ShapeError, ValueError, OverflowError):
             assert not ok[r], r
             refused += 1
@@ -339,7 +339,7 @@ def test_batch_decoder_matches_decode_values(use_scaling, on_degenerate):
         got.update((block, tuple(orders[block][r].tolist())) for block in space.blocks)
         assert got == want, r
         degenerate += use_scaling and want["p"] == 1  # q's bound min(p, 12) is below its low 2
-    assert 0 < refused < len(raws) and (degenerate > 0) == (use_scaling and on_degenerate == "clamp")
+    assert 0 < refused < len(raws) and (degenerate > 0) == use_scaling
 
 
 def test_batch_decoder_refuses_bounds_beyond_exact_integers():
