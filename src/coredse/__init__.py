@@ -38,12 +38,11 @@ from .objective import (
     update_running,
 )
 from .policy import (
-    CompoundAction,
     DistributionSet,
     PolicyParams,
     context_vector,
     entropy,
-    forward,
+    forward_cached,
     init_params,
     kl,
     layout_for_space,

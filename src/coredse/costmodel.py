@@ -159,17 +159,15 @@ def simulate(
     workload: Workload,
     platform: Platform,
     consts: CostConstants = CostConstants(),
-    validate: bool = True,
 ) -> EvalOutcome:
     """Evaluate one design: metrics (mean layer latency, area in um^2) plus residuals.
 
     Structurally inconsistent designs come back anomalous rather than raising,
     so upstream search loops never abort on a bad decode.
     """
-    if validate:
-        problems = validate_config(config, workload)
-        if problems:
-            return EvalOutcome.failed("; ".join(problems[:4]))
+    problems = validate_config(config, workload)
+    if problems:
+        return EvalOutcome.failed("; ".join(problems[:4]))
 
     per_layer = [
         layer_latency(layer, mapping, config.n_pe, consts)

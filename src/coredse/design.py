@@ -330,6 +330,9 @@ class CoDesignSpace:
                 raise ConfigurationError(f"unknown tile dim {d!r}")
         if sorted(opt.fixed_order) != sorted(DIMS):
             raise ConfigurationError(f"fixed_order {opt.fixed_order} not a permutation")
+        if opt.fixed_parallel_dim not in DIMS:
+            raise ConfigurationError(f"fixed_parallel_dim {opt.fixed_parallel_dim!r} is not one of {DIMS}")
+        fixed_pdim = DIM_INDEX[opt.fixed_parallel_dim]
 
         def add_or_fix(name: str, value) -> None:
             low, up, step = _as_range(name, value)
@@ -368,7 +371,7 @@ class CoDesignSpace:
                 pdim = f"{prefix}pdim{level}"
                 par = f"{prefix}par{level}"
                 if not opt.include_parallel:
-                    self.fixed[pdim] = opt.fixed_parallel_dim
+                    self.fixed[pdim] = fixed_pdim
                     self.fixed[par] = opt.fixed_parallelism
                     continue
                 # Fixed tiles enter bounds as literal ints, varying ones by name.
@@ -382,8 +385,8 @@ class CoDesignSpace:
                     params.append(ParamSpec(pdim, Categorical(6)))
                     picked: object = Select(pdim, tile_refs)
                 else:
-                    self.fixed[pdim] = opt.fixed_parallel_dim
-                    picked = tile_refs[DIM_INDEX[opt.fixed_parallel_dim]]
+                    self.fixed[pdim] = fixed_pdim
+                    picked = tile_refs[fixed_pdim]
                 if level == 1:
                     cap = min(npe_cap, max_dim)
                     sources = (npe_src, picked)
@@ -414,7 +417,7 @@ class CoDesignSpace:
         ok is False on each row for which decode() raises; on the other rows
         ``DesignBatch.configs()`` equals decode()'s designs. Raises
         ConfigurationError when a bound is too large to decode exactly in
-        int64 (see `BatchDecoder`), or a fixed parallel dim is not a dim name.
+        int64 (see `BatchDecoder`).
         """
         decoder = BatchDecoder(self.space, use_scaling=use_scaling)
         n_layers = len(self.workload.layers)
@@ -433,11 +436,7 @@ class CoDesignSpace:
         for name in names:
             if name not in self.space.index:
                 v = self.fixed[name]
-                if ".pdim" in name:
-                    if not (isinstance(v, str) and v in DIM_INDEX):
-                        raise ConfigurationError(f"{name}: {v!r} is not a dim name")
-                    v = DIM_INDEX[v]
-                elif abs(int(v)) >= EXACT_INT:
+                if abs(int(v)) >= EXACT_INT:
                     raise ConfigurationError(f"{name}: {v} is beyond the batch decode's exact range")
                 fixed[name] = int(v)
         columns = np.asarray(
@@ -481,13 +480,10 @@ class CoDesignSpace:
             pair = []
             for level in (1, 2):
                 perm = get(f"{prefix}order{level}")
-                pdim = get(f"{prefix}pdim{level}")
-                if isinstance(pdim, int):
-                    pdim = DIMS[pdim]
                 pair.append(
                     LevelMapping(
                         order=tuple(DIMS[i] for i in perm),
-                        parallel_dim=pdim,
+                        parallel_dim=DIMS[get(f"{prefix}pdim{level}")],
                         parallelism=int(get(f"{prefix}par{level}")),
                         tiles=tuple(int(get(f"{prefix}t{level}.{d}")) for d in DIMS),
                     )

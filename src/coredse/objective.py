@@ -17,7 +17,7 @@ term has zero gradient, so a ratio/KL surrogate's gradient equals this one
 exactly.  That is also PPO's clipped objective at its first step.
 
 The log-probabilities of a batch come from one pass (`policy.log_probs`):
-the actions are stacked and validated once, log x and log(1 - x) are taken
+the (E, n) raw action matrix is validated once, log x and log(1 - x) are taken
 once, and the distribution set contributes its cached Beta normalisers,
 digammas and categorical probabilities.  Those caches are computed when a
 `DistributionSet` is built and rely on its arrays never being mutated
@@ -172,31 +172,31 @@ def raw_objective(outcome: EvalOutcome, weights) -> float:
 # ---------------------------------------------------------------------------
 # Surrogate objective
 
-def _stack_batch(dists: DistributionSet, actions, advs):
+def _stack_batch(dists: DistributionSet, raws, advs):
     advs = np.asarray(advs, dtype=float)
-    if len(actions) != advs.size:
-        raise ValueError(f"{len(actions)} actions vs {advs.size} advantages")
-    if len(actions) == 0:
+    if len(raws) != advs.size:
+        raise ValueError(f"{len(raws)} actions vs {advs.size} advantages")
+    if len(raws) == 0:
         raise ValueError("surrogate objective needs a non-empty batch")
-    return policy.stack_actions(dists.layout, actions), advs
+    return policy.stack_actions(dists.layout, raws), advs
 
 
 def _objective(dists: DistributionSet, batch, advs, beta_e: float) -> float:
     return float(policy.log_probs(dists, batch) @ advs) / advs.size + beta_e * policy.entropy(dists)
 
 
-def surrogate_objective(dists: DistributionSet, actions, advs, beta_e: float) -> float:
-    """mean(adv * log pi(a)) + beta_e * H(pi) over a non-empty batch."""
-    return _objective(dists, *_stack_batch(dists, actions, advs), beta_e)
+def surrogate_objective(dists: DistributionSet, raws, advs, beta_e: float) -> float:
+    """mean(adv * log pi(a)) + beta_e * H(pi) over a non-empty (E, n) raw action matrix."""
+    return _objective(dists, *_stack_batch(dists, raws, advs), beta_e)
 
 
-def surrogate_gradients(dists: DistributionSet, actions, advs, beta_e: float):
-    """Value and closed-form gradients wrt head parameters.
+def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
+    """Value and closed-form gradients wrt head parameters, over an (E, n) raw action matrix.
 
     Returns (value, d_alpha, d_beta, d_logits) where d_logits is one array
     per categorical head, already chained through the softmax.
     """
-    batch, advs = _stack_batch(dists, actions, advs)
+    batch, advs = _stack_batch(dists, raws, advs)
     E = advs.size
     coef = advs / E
     value = _objective(dists, batch, advs, beta_e)

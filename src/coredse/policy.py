@@ -29,7 +29,6 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "HeadLayout",
     "DistributionSet",
-    "CompoundAction",
     "ActionBatch",
     "PolicyParams",
     "PolicyNumericsError",
@@ -40,7 +39,6 @@ __all__ = [
     "mlp_forward",
     "mlp_backward",
     "heads_from_raw",
-    "forward",
     "forward_cached",
     "head_backward",
     "sample",
@@ -166,13 +164,6 @@ class DistributionSet:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class CompoundAction:
-    """One raw value per parameter; category indices stored as floats."""
-
-    raw: np.ndarray
-
-
 @dataclass
 class PolicyParams:
     weights: list  # 4 matrices, shape (fan_out, fan_in)
@@ -260,14 +251,8 @@ def heads_from_raw(out: np.ndarray, layout: HeadLayout) -> DistributionSet:
     return DistributionSet(layout=layout, alphas=alphas, betas=betas, cat_probs=tuple(cats))
 
 
-def forward(params: PolicyParams, s0: np.ndarray, layout: HeadLayout) -> DistributionSet:
-    out, _ = mlp_forward(params, s0)
-    if out.shape != (layout.out_width,):
-        raise ShapeError(f"output width {out.shape[0]} != layout {layout.out_width}")
-    return heads_from_raw(out, layout)
-
-
 def forward_cached(params: PolicyParams, s0: np.ndarray, layout: HeadLayout):
+    """The policy's distributions at context s0, and the cache `mlp_backward` needs."""
     out, cache = mlp_forward(params, s0)
     if out.shape != (layout.out_width,):
         raise ShapeError(f"output width {out.shape[0]} != layout {layout.out_width}")
@@ -288,8 +273,10 @@ def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarra
     return g
 
 
-def sample(dists: DistributionSet, rng: np.random.Generator) -> CompoundAction:
-    """Draw one compound action; Beta draws clipped into [RAW_CLIP, 1 - RAW_CLIP].
+def sample(dists: DistributionSet, rng: np.random.Generator) -> np.ndarray:
+    """Draw one raw action vector; Beta draws clipped into [RAW_CLIP, 1 - RAW_CLIP].
+
+    Category indices are stored as floats.
 
     Draws happen in parameter declaration order, one per parameter:
     Beta heads through the generator's beta sampler, categorical heads by
@@ -310,22 +297,22 @@ def sample(dists: DistributionSet, rng: np.random.Generator) -> CompoundAction:
             idx = int(np.searchsorted(cum, u, side="right"))
             raw[i] = min(idx, layout.cat_k[i] - 1)
             ci += 1
-    return CompoundAction(raw=raw)
+    return raw
 
 
-def log_prob(dists: DistributionSet, action: CompoundAction) -> float:
+def log_prob(dists: DistributionSet, raw: np.ndarray) -> float:
     layout = dists.layout
-    if action.raw.shape != (layout.n_params,):
-        raise ShapeError(f"action length {action.raw.shape} != {layout.n_params}")
+    if raw.shape != (layout.n_params,):
+        raise ShapeError(f"action length {raw.shape} != {layout.n_params}")
     total = 0.0
     if layout.n_beta:
-        x = action.raw[layout.beta_params]
+        x = raw[layout.beta_params]
         if np.any(x <= 0.0) or np.any(x >= 1.0):
             raise DomainError("beta-head values must lie strictly inside (0, 1)")
         a, b = dists.alphas, dists.betas
         total += float(np.sum((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - dists.beta_norm))
     for j, pi in enumerate(layout.cat_params):
-        idx = int(action.raw[pi])
+        idx = int(raw[pi])
         if not 0 <= idx < layout.cat_k[pi]:
             raise DomainError(f"category index {idx} out of range({layout.cat_k[pi]})")
         p = dists.cat_probs[j][idx]
@@ -334,25 +321,23 @@ def log_prob(dists: DistributionSet, action: CompoundAction) -> float:
 
 
 class ActionBatch(NamedTuple):
-    """A batch of compound actions, validated and reduced to what densities need."""
+    """A batch of raw actions, validated and reduced to what densities need."""
 
     log_x: np.ndarray  # (E, n_beta) log of each Beta-head value
     log_1mx: np.ndarray  # (E, n_beta) log(1 - x)
     cat_index: np.ndarray  # (E, n_cat) chosen category of each categorical head
 
 
-def stack_actions(layout: HeadLayout, actions) -> ActionBatch:
-    """Stack a non-empty batch of actions, with the checks `log_prob` makes.
+def stack_actions(layout: HeadLayout, raws: np.ndarray) -> ActionBatch:
+    """Reduce a non-empty (E, n) raw matrix, one action a row, with the checks `log_prob` makes.
 
-    Raises ShapeError for a wrong-length action and DomainError for a Beta
+    Raises ShapeError for rows of the wrong length and DomainError for a Beta
     value outside (0, 1) or a category outside range(k). Category values
     truncate toward zero, as `int()` does in `log_prob`.
     """
-    n = layout.n_params
-    for action in actions:
-        if action.raw.shape != (n,):
-            raise ShapeError(f"action length {action.raw.shape} != {n}")
-    raw = np.array([action.raw for action in actions])
+    raw = np.asarray(raws, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != layout.n_params:
+        raise ShapeError(f"action matrix shape {raw.shape} != (E, {layout.n_params})")
     x = raw.take(layout.beta_params, axis=1)
     if ((x <= 0.0) | (x >= 1.0)).any():
         raise DomainError("beta-head values must lie strictly inside (0, 1)")

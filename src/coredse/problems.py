@@ -114,7 +114,7 @@ def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate)
         return None
     try:
         decode_batch = codesign.batch_decoder(use_scaling)
-    except ConfigurationError:  # a bound beyond the exact int64 range, or a fixed parallel dim that is no dim
+    except ConfigurationError:  # a bound beyond the exact int64 range
         return None
 
     def evaluate_raws(raws: np.ndarray) -> list[tuple[DesignConfig, EvalOutcome] | None]:

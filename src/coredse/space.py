@@ -34,7 +34,6 @@ __all__ = [
     "ScalingGraph",
     "ConfigurationError",
     "CycleError",
-    "DegenerateBound",
     "ShapeError",
     "scaling_graph",
     "topological_order",
@@ -54,10 +53,6 @@ class ConfigurationError(ValueError):
 
 class CycleError(ConfigurationError):
     """Scaling dependencies form a cycle."""
-
-
-class DegenerateBound(ConfigurationError):
-    """A scaled upper bound fell below the parameter's lower bound."""
 
 
 class ShapeError(ValueError):
@@ -275,16 +270,13 @@ def decode_scaled(
     low: int,
     step: int,
     sources: tuple[int, ...] | list[int],
-    on_degenerate: str = "raise",
 ) -> int:
-    """decode_range with the upper bound replaced by min(sources)."""
+    """decode_range with the upper bound replaced by min(sources); a bound below low gives low."""
     if not sources:
         raise ConfigurationError("decode_scaled needs at least one source value")
     up = min(sources)
     if up < low:
-        if on_degenerate == "clamp":
-            return low
-        raise DegenerateBound(f"scaled bound {up} below low {low}")
+        return low
     return decode_range(b, low, up, step)
 
 
@@ -317,7 +309,6 @@ def decode_values(
     space: ParameterSpace,
     raw,
     use_scaling: bool = True,
-    on_degenerate: str = "clamp",
 ) -> dict:
     """Decode a raw action vector into {param: value, block: permutation}.
 
@@ -343,7 +334,7 @@ def decode_values(
             keys[name] = float(r)
         elif spec.scaled_by and use_scaling:
             srcs = _resolve_sources(spec, values)
-            values[name] = decode_scaled(float(r), kind.low, kind.step, srcs, on_degenerate)
+            values[name] = decode_scaled(float(r), kind.low, kind.step, srcs)
         else:
             values[name] = decode_range(float(r), kind.low, kind.up, kind.step)
     for block, members in space.blocks.items():
@@ -390,8 +381,7 @@ class BatchDecoder:
     * values: (B, w) int64, column i holding parameter i's value (0 for
       sort keys), then constant columns that scaled bounds draw on;
     * orders: {block: (B, len(block)) slot permutation};
-    * ok: (B,) bool, False on each row for which decode_values raises
-      (with its default ``on_degenerate="clamp"``).
+    * ok: (B,) bool, False on each row for which decode_values raises.
 
     On ok rows the values equal decode_values' results; other rows hold
     arbitrary values. Unscaled ranged columns decode in one vectorised step

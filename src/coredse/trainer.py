@@ -1,9 +1,12 @@
 """One-step policy-gradient search loop.
 
-Every episode draws a fresh batch of compound actions from the policy
+Every episode draws a fresh batch of raw actions from the policy
 conditioned on a fixed context, evaluates the decoded designs, shapes
 rewards, and takes exactly one Adam ascent step on the on-policy
 surrogate mean(adv * log pi(a)) + beta_e * H(pi) (see `objective`).
+A batch is one (B, n) raw matrix, one action a row, from the draw to the
+history: the same matrix is evaluated, scored by the surrogate and
+recorded, and an `EpisodeReport` holds the batch's per-design arrays.
 Determinism contract: results are byte-identical across reruns, because
 each sample's randomness comes from a generator seeded by (seed, episode,
 slot) rather than from shared stream state.
@@ -35,7 +38,6 @@ from .objective import (
     update_running,
 )
 from .policy import (
-    CompoundAction,
     PolicyParams,
     context_vector,
     forward_cached,
@@ -50,7 +52,6 @@ from .problems import Problem, evaluate_caught
 __all__ = [
     "PolicyConfig",
     "TrainConfig",
-    "SampleRecord",
     "EpisodeReport",
     "BestDesign",
     "TrainResult",
@@ -103,24 +104,25 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    episode: int
-    index: int
-    reward: float
-    valid: bool
-    violation_sum: float
-    action_hash: str
-
-
-@dataclass(frozen=True)
 class EpisodeReport:
+    """One batch's history entry: batch statistics and one entry per design, in slot order."""
+
     episode: int
     beta_e: float
     running_reward: float
     best_reward: float
-    mean_reward: float
-    n_valid: int
-    records: tuple[SampleRecord, ...]
+    rewards: np.ndarray  # (B,) float64
+    valid: np.ndarray  # (B,) bool, False where the outcome was anomalous
+    violation_sums: np.ndarray  # (B,) float64
+    action_hashes: tuple[str, ...]
+
+    @property
+    def mean_reward(self) -> float:
+        return float(self.rewards.mean())
+
+    @property
+    def n_valid(self) -> int:
+        return int(self.valid.sum())
 
 
 @dataclass
@@ -138,13 +140,14 @@ class _HistoryRows:
     def history_rows(self):
         """Flat per-sample rows matching the run log schema."""
         for report in self.history:
-            for rec in report.records:
+            columns = zip(report.rewards.tolist(), report.valid.tolist(), report.violation_sums.tolist())
+            for k, (reward, valid, violation_sum) in enumerate(columns):
                 yield {
-                    "episode": rec.episode,
-                    "sample_index": rec.index,
-                    "reward": rec.reward,
-                    "valid": int(rec.valid),
-                    "violation_sum": rec.violation_sum,
+                    "episode": report.episode,
+                    "sample_index": k,
+                    "reward": reward,
+                    "valid": int(valid),
+                    "violation_sum": violation_sum,
                     "running_reward": report.running_reward,
                     "best_reward": report.best_reward,
                 }
@@ -231,28 +234,18 @@ def _update_best(best, best_feasible, episode: int, raws, results, rewards, weig
 
 
 def _episode_report(
-    episode: int, raws, outcomes, rewards: np.ndarray, best, beta_e: float, running: float
+    episode: int, raws: np.ndarray, outcomes, rewards: np.ndarray, best, beta_e: float, running: float
 ) -> EpisodeReport:
-    """One batch's history entry: a record per design plus batch statistics."""
-    records = tuple(
-        SampleRecord(
-            episode=episode,
-            index=k,
-            reward=float(rewards[k]),
-            valid=not outcome.anomalous,
-            violation_sum=outcome.violation_sum(),
-            action_hash=_action_hash(raw),
-        )
-        for k, (raw, outcome) in enumerate(zip(raws, outcomes))
-    )
+    """One scored batch's history entry."""
     return EpisodeReport(
         episode=episode,
         beta_e=beta_e,
         running_reward=running,
         best_reward=best.reward if best is not None else float("nan"),
-        mean_reward=float(rewards.mean()),
-        n_valid=sum(rec.valid for rec in records),
-        records=records,
+        rewards=np.asarray(rewards, dtype=float),
+        valid=np.array([not outcome.anomalous for outcome in outcomes], dtype=bool),
+        violation_sums=np.array([outcome.violation_sum() for outcome in outcomes], dtype=float),
+        action_hashes=tuple(_action_hash(raw) for raw in raws),
     )
 
 
@@ -357,20 +350,29 @@ def _adam_ascend(state: _LoopState, factors: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _shaped_reward(
-    outcome: EvalOutcome,
+    outcomes: list[EvalOutcome],
     cfg: RewardConfig,
     episode_1b: int,
     prev_valid_mean: float | None,
     running_prev: float,
-    cur_valid_mean: float | None,
-) -> float:
-    if outcome.anomalous:
-        if not cfg.shaping:
-            return cfg.no_shaping_penalty
-        return anomalous_reward(prev_valid_mean, running_prev, cur_valid_mean, episode_1b, cfg)
+) -> tuple[np.ndarray, float | None]:
+    """One batch's shaped rewards, and the mean scalar reward of its valid designs.
+
+    The mean is None when no design is valid. It is taken with shaping off
+    too, since the next batch's anomalous reward draws on it.
+    """
+    valid = np.array([not o.anomalous for o in outcomes], dtype=bool)
+    kept = [o for o in outcomes if not o.anomalous]
+    scalar = [scalar_reward(o, cfg) for o in kept]
+    cur_valid_mean = float(np.mean(scalar)) if scalar else None
     if cfg.shaping:
-        return scalar_reward(outcome, cfg)
-    return penalty_reward(outcome, cfg)
+        anomalous = anomalous_reward(prev_valid_mean, running_prev, cur_valid_mean, episode_1b, cfg)
+        rewards = np.full(len(outcomes), anomalous, dtype=float)
+        rewards[valid] = scalar
+    else:
+        rewards = np.full(len(outcomes), cfg.no_shaping_penalty, dtype=float)
+        rewards[valid] = [penalty_reward(o, cfg) for o in kept]
+    return rewards, cur_valid_mean
 
 
 def train(
@@ -394,25 +396,15 @@ def train(
         beta_e = entropy_coefficient(ep, cfg)
 
         dists, cache = forward_cached(state.params, context, layout)
-        actions: list[CompoundAction] = []
-        for slot in range(cfg.batch_size):
-            rng = np.random.default_rng([cfg.seed, ep, slot])
-            actions.append(sample(dists, rng))
-        raws = [a.raw for a in actions]
+        raws = np.array(
+            [sample(dists, np.random.default_rng([cfg.seed, ep, slot])) for slot in range(cfg.batch_size)]
+        )
 
         results = evaluate_batch(problem, raws)
         state.samples_used += cfg.batch_size
 
-        outcomes = [r[1] for r in results]
-        valid_rewards = [scalar_reward(o, rcfg) for o in outcomes if not o.anomalous]
-        cur_valid_mean = float(np.mean(valid_rewards)) if valid_rewards else None
-
-        shaped = np.array(
-            [
-                _shaped_reward(o, rcfg, ep + 1, state.prev_valid_mean, state.running, cur_valid_mean)
-                for o in outcomes
-            ]
-        )
+        outcomes = [outcome for _, outcome in results]
+        shaped, cur_valid_mean = _shaped_reward(outcomes, rcfg, ep + 1, state.prev_valid_mean, state.running)
         state.best, state.best_feasible = _update_best(
             state.best, state.best_feasible, ep, raws, results, shaped, rcfg.weights
         )
@@ -432,7 +424,7 @@ def train(
             break
 
         advs = advantages(shaped, state.running)
-        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, actions, advs, beta_e)
+        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, raws, advs, beta_e)
         g_out = head_backward(dists, d_alpha, d_beta, d_logits)
         factors = mlp_backward(state.params, cache, g_out)
         _adam_ascend(state, factors, cfg.learning_rate)

@@ -125,8 +125,8 @@ def _final_best(result) -> float:
 
 
 def _valid_rate(results) -> float:
-    flags = [rec.valid for res in results for rep in res.history for rec in rep.records]
-    return sum(flags) / len(flags)
+    flags = np.concatenate([rep.valid for res in results for rep in res.history])
+    return flags.sum() / flags.size
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_gate2_gradient_check(capsys):
     for seed in range(20):
         params = init_params(np.random.default_rng([seed]), 16, 64, layout.out_width)
         dists, cache = forward_cached(params, s0, layout)
-        acts = [sample(dists, np.random.default_rng([seed, k])) for k in range(3)]
+        acts = np.array([sample(dists, np.random.default_rng([seed, k])) for k in range(3)])
         advs = np.random.default_rng([seed, 77]).normal(size=len(acts))
 
         _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, acts, advs, beta_e)

@@ -72,7 +72,7 @@ def test_ga_budget_is_pop_times_generations_plus_one():
     res = ga_run(toy_line_problem(), CFG, pop_size=8, generations=5, seed=0)
     assert res.samples_used == 8 * 6
     assert len(res.history) == 6
-    assert all(len(rep.records) == 8 for rep in res.history)
+    assert all(len(rep.rewards) == 8 for rep in res.history)
     assert res.method == "ga" and res.status == "budget_exhausted"
 
 
@@ -108,20 +108,20 @@ def test_ga_zero_rates_keep_population_constant():
         crossover_rate=0.0,
         mutation_rate=0.0,
     )
-    first = {rec.reward for rec in res.history[0].records}
+    first = set(res.history[0].rewards.tolist())
     for rep in res.history[1:]:
-        assert {rec.reward for rec in rep.records} <= first
+        assert set(rep.rewards.tolist()) <= first
     # elitism keeps the incumbent alive in every generation
-    best0 = max(rec.reward for rec in res.history[0].records)
+    best0 = res.history[0].rewards.max()
     for rep in res.history[1:]:
-        assert max(rec.reward for rec in rep.records) == best0
+        assert rep.rewards.max() == best0
 
 
 def test_ga_elitism_never_loses_the_best():
     res = ga_run(toy_line_problem(), CFG, pop_size=8, generations=10, seed=5)
     best = -np.inf
     for rep in res.history:
-        gen_max = max(rec.reward for rec in rep.records)
+        gen_max = rep.rewards.max()
         best = max(best, gen_max)
         assert gen_max >= best - 1e-12 or gen_max == best
 
@@ -144,7 +144,7 @@ def test_ga_anomalous_designs_get_floor_fitness():
 
     p = Problem("half", space, toy_line_problem().decode, evaluate)
     res = ga_run(p, CFG, pop_size=16, generations=2, seed=1)
-    rewards = [rec.reward for rep in res.history for rec in rep.records]
+    rewards = np.concatenate([rep.rewards for rep in res.history])
     assert CFG.r_ano in rewards
     assert res.best_feasible.objective >= 0.0
 
@@ -156,7 +156,7 @@ def test_ga_anomalous_designs_get_floor_fitness():
 def test_random_search_budget_and_chunking():
     res = random_search(toy_line_problem(), CFG, budget=20, seed=0, chunk=8)
     assert res.samples_used == 20
-    assert [len(rep.records) for rep in res.history] == [8, 8, 4]
+    assert [len(rep.rewards) for rep in res.history] == [8, 8, 4]
     assert res.method == "random"
 
 
@@ -176,8 +176,8 @@ def test_random_search_prefix_property():
 def test_random_search_chunk_size_does_not_change_samples():
     a = random_search(toy_line_problem(), CFG, budget=24, seed=9, chunk=3)
     b = random_search(toy_line_problem(), CFG, budget=24, seed=9, chunk=24)
-    a_hash = [rec.action_hash for rep in a.history for rec in rep.records]
-    b_hash = [rec.action_hash for rep in b.history for rec in rep.records]
+    a_hash = [h for rep in a.history for h in rep.action_hashes]
+    b_hash = [h for rep in b.history for h in rep.action_hashes]
     assert a_hash == b_hash
     assert a.best_feasible.objective == b.best_feasible.objective
 

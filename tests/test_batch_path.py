@@ -14,7 +14,7 @@ import pytest
 from coredse.costmodel import CostConstants, platform_by_name
 from coredse.design import Layer, SpaceOptions, Workload
 from coredse.problems import accelerator_problem
-from coredse.space import Categorical
+from coredse.space import Categorical, ConfigurationError
 from coredse.trainer import _decode_and_eval_one, evaluate_batch
 
 RESNETISH = Workload(
@@ -163,14 +163,16 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     assert accelerator_problem(RESNETISH, edge).evaluate_raws is not None
 
 
-def test_a_fixed_parallel_dim_that_is_no_dim_leaves_the_problem_scalar():
-    options = SpaceOptions(include_parallel=False, fixed_parallel_dim="Z", fixed_parallelism=0)
-    problem = accelerator_problem(RESNETISH, platform_by_name("edge"), options)
-    assert problem.evaluate_raws is None
-    raws = np.random.default_rng([3]).random((64, problem.n_raw))
-    results = evaluate_batch(problem, raws)
-    assert results == [_decode_and_eval_one(problem, r) for r in raws]
-    assert all(outcome.anomalous for _, outcome in results)
+def test_a_fixed_parallel_dim_that_is_no_dim_is_refused_at_construction():
+    # Unchecked, "k" raised a bare KeyError where the dim is fixed but
+    # parallelism varies, and "Z" made every design anomalous.
+    for bad in ("Z", "k"):
+        for options in (
+            SpaceOptions(include_parallel=False, fixed_parallel_dim=bad),
+            SpaceOptions(vary_parallel_dim=False, fixed_parallel_dim=bad),
+        ):
+            with pytest.raises(ConfigurationError, match="fixed_parallel_dim"):
+                accelerator_problem(RESNETISH, platform_by_name("edge"), options)
 
 
 @pytest.mark.parametrize("field", ["decode", "evaluate"])

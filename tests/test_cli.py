@@ -131,6 +131,14 @@ def test_removed_knobs_are_unknown_keys(tmp_path, capsys):
         main(["run", "--config", str(path), "--workers", "2"])
 
 
+def test_a_fixed_parallel_dim_that_is_no_dim_is_a_config_error(tmp_path, capsys):
+    space = {"n_pe": [2, 16, 2], "tile_dims": ["K"], "vary_parallel_dim": False, "fixed_parallel_dim": "k"}
+    path = write_setup(tmp_path, space=space)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixed_parallel_dim 'k'" in err
+
+
 def test_unknown_method(tmp_path, capsys):
     path = write_setup(tmp_path, method="anneal")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -17,7 +17,6 @@ from coredse.objective import (
     update_running,
 )
 from coredse.policy import (
-    CompoundAction,
     DomainError,
     entropy,
     heads_from_raw,
@@ -51,7 +50,7 @@ def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 3.0), logits=(0.3, -0.2, 0.8)):
 
 
 def act(*raw):
-    return CompoundAction(raw=np.asarray(raw, dtype=float))
+    return np.asarray(raw, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
     for seed in range(5):
         rng = np.random.default_rng([seed])
         dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-        actions = [sample(dists, rng) for _ in range(16)]
+        actions = np.array([sample(dists, rng) for _ in range(16)])
         advs = rng.normal(scale=10.0, size=16)
         beta_e = float(rng.uniform(0.0, 1.0))
         ref_value, *ref = ratio_kl_surrogate_gradients(dists, dists, actions, advs, 3.0, beta_e)
@@ -273,7 +272,7 @@ def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
 
 def test_surrogate_is_advantage_weighted_log_prob_plus_entropy():
     dists = mixed_dists()
-    actions = [act(0.3, 2, 0.5), act(0.7, 0, 0.1), act(0.4, 1, 0.9)]
+    actions = np.array([act(0.3, 2, 0.5), act(0.7, 0, 0.1), act(0.4, 1, 0.9)])
     advs = [1.0, -2.0, 0.5]
     got = surrogate_objective(dists, actions, advs, beta_e=0.25)
     want = np.mean([adv * log_prob(dists, a) for adv, a in zip(advs, actions)]) + 0.25 * entropy(dists)
@@ -293,7 +292,9 @@ def test_surrogate_validates_batch():
 def test_gradient_value_matches_objective():
     rng = np.random.default_rng(8)
     dists = mixed_dists()
-    actions = [act(rng.uniform(0.05, 0.95), rng.integers(3), rng.uniform(0.05, 0.95)) for _ in range(6)]
+    actions = np.array(
+        [act(rng.uniform(0.05, 0.95), rng.integers(3), rng.uniform(0.05, 0.95)) for _ in range(6)]
+    )
     advs = rng.normal(size=6)
     value, *_ = surrogate_gradients(dists, actions, advs, beta_e=0.3)
     want = surrogate_objective(dists, actions, advs, beta_e=0.3)
@@ -319,7 +320,7 @@ def test_gradients_match_finite_differences():
     logits = np.array([0.3, -0.2, 0.8])
     dists = mixed_dists(logits=logits)
     rng = np.random.default_rng(21)
-    actions = [act(rng.uniform(0.1, 0.9), rng.integers(3), rng.uniform(0.1, 0.9)) for _ in range(5)]
+    actions = np.array([act(rng.uniform(0.1, 0.9), rng.integers(3), rng.uniform(0.1, 0.9)) for _ in range(5)])
     advs = rng.normal(size=5)
     beta_e = 0.3
 
@@ -348,7 +349,7 @@ def test_batched_log_probs_match_scalar_log_prob():
     layout = layout_for_space(mixed_space())
     rng = np.random.default_rng(5)
     dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-    actions = [sample(dists, rng) for _ in range(24)]
+    actions = np.array([sample(dists, rng) for _ in range(24)])
 
     want = np.array([log_prob(dists, a) for a in actions])
     got = log_probs(dists, stack_actions(layout, actions))
@@ -375,7 +376,8 @@ def test_batched_log_probs_match_scalar_log_prob():
 )
 def test_surrogate_validates_actions_like_log_prob(bad, error):
     dists = mixed_dists()
-    actions = [act(0.3, 2, 0.5), bad]
+    # A matrix's rows share one length, so a wrong-length action makes every row wrong.
+    actions = np.stack([act(0.3, 2, 0.5) if bad.size == 3 else bad, bad])
     with pytest.raises(error):
         log_prob(dists, bad)
     with pytest.raises(error):

@@ -6,13 +6,11 @@ import pytest
 
 from coredse.policy import (
     CHECKPOINT_MAGIC,
-    CompoundAction,
     DomainError,
     PolicyNumericsError,
     RAW_CLIP,
     context_vector,
     entropy,
-    forward,
     forward_cached,
     head_backward,
     heads_from_raw,
@@ -105,7 +103,7 @@ def test_zero_params_give_flat_heads():
     params = init_params(rng, 4, 8, layout.out_width)
     for w in params.weights:
         w[:] = 0.0
-    dists = forward(params, context_vector(4), layout)
+    dists, _ = forward_cached(params, context_vector(4), layout)
     assert np.allclose(dists.alphas, A0, atol=1e-12)
     assert np.allclose(dists.betas, A0, atol=1e-12)
     assert np.allclose(dists.cat_probs[0], 1.0 / 6.0, atol=1e-12)
@@ -126,14 +124,14 @@ def test_forward_rejects_wrong_context_width():
     layout = layout_for_space(mixed_space())
     params = init_params(np.random.default_rng(0), 4, 8, layout.out_width)
     with pytest.raises(ShapeError):
-        forward(params, context_vector(5), layout)
+        forward_cached(params, context_vector(5), layout)
 
 
 def test_forward_rejects_wrong_layout_width():
     layout = layout_for_space(mixed_space())
     params = init_params(np.random.default_rng(0), 4, 8, layout.out_width + 2)
     with pytest.raises(ShapeError):
-        forward(params, context_vector(4), layout)
+        forward_cached(params, context_vector(4), layout)
 
 
 def test_nonfinite_activations_raise():
@@ -141,7 +139,7 @@ def test_nonfinite_activations_raise():
     params = init_params(np.random.default_rng(0), 4, 8, layout.out_width)
     params.weights[1][0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(PolicyNumericsError):
-        forward(params, context_vector(4), layout)
+        forward_cached(params, context_vector(4), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +148,22 @@ def test_nonfinite_activations_raise():
 
 def test_log_prob_matches_beta_reference():
     dists = dists_from_heads([("beta", A0, A0)])
-    got = log_prob(dists, CompoundAction(raw=np.array([0.3])))
+    got = log_prob(dists, np.array([0.3]))
     assert abs(got - LOGPDF_A0_03) < 1e-12
-    got = log_prob(dists, CompoundAction(raw=np.array([0.5])))
+    got = log_prob(dists, np.array([0.5]))
     assert abs(got - LOGPDF_A0_05) < 1e-12
 
 
 def test_log_prob_sums_over_heads():
     dists = mixed_dists()
-    action = CompoundAction(raw=np.array([0.3, 2.0, 0.5]))
-    got = log_prob(dists, action)
+    got = log_prob(dists, np.array([0.3, 2.0, 0.5]))
     only_beta1 = log_prob(
         dists_from_heads([("beta", 2.0, 5.0)]),
-        CompoundAction(raw=np.array([0.3])),
+        np.array([0.3]),
     )
     only_beta2 = log_prob(
         dists_from_heads([("beta", 1.5, 1.0)]),
-        CompoundAction(raw=np.array([0.5])),
+        np.array([0.5]),
     )
     assert abs(got - (only_beta1 + math.log(1.0 / 6.0) + only_beta2)) < 1e-12
 
@@ -175,26 +172,25 @@ def test_log_prob_rejects_boundary_values():
     dists = dists_from_heads([("beta", 2.0, 2.0)])
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
-            log_prob(dists, CompoundAction(raw=np.array([bad])))
+            log_prob(dists, np.array([bad]))
 
 
 def test_log_prob_rejects_bad_category_index():
     dists = dists_from_heads([("cat", np.full(6, 1 / 6))])
     for bad in (-1.0, 6.0):
         with pytest.raises(DomainError):
-            log_prob(dists, CompoundAction(raw=np.array([bad])))
+            log_prob(dists, np.array([bad]))
 
 
 def test_log_prob_rejects_wrong_length():
     dists = mixed_dists()
     with pytest.raises(ShapeError):
-        log_prob(dists, CompoundAction(raw=np.array([0.5, 1.0])))
+        log_prob(dists, np.array([0.5, 1.0]))
 
 
 def test_log_prob_zero_probability_category():
     dists = dists_from_heads([("cat", np.array([1.0, 0.0]))])
-    action = CompoundAction(raw=np.array([1.0]))
-    assert log_prob(dists, action) == -np.inf
+    assert log_prob(dists, np.array([1.0])) == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +258,17 @@ def test_sample_is_deterministic_per_seed():
     dists = mixed_dists()
     a = sample(dists, np.random.default_rng([7, 3]))
     b = sample(dists, np.random.default_rng([7, 3]))
-    assert np.array_equal(a.raw, b.raw)
+    assert np.array_equal(a, b)
 
 
 def test_sample_respects_supports():
     dists = mixed_dists()
     rng = np.random.default_rng(9)
     for _ in range(200):
-        act = sample(dists, rng)
-        assert RAW_CLIP <= act.raw[0] <= 1.0 - RAW_CLIP
-        assert RAW_CLIP <= act.raw[2] <= 1.0 - RAW_CLIP
-        idx = act.raw[1]
+        raw = sample(dists, rng)
+        assert RAW_CLIP <= raw[0] <= 1.0 - RAW_CLIP
+        assert RAW_CLIP <= raw[2] <= 1.0 - RAW_CLIP
+        idx = raw[1]
         assert idx == int(idx) and 0 <= idx < 6
 
 
@@ -281,7 +277,7 @@ def test_sample_beta_moments():
     dists = dists_from_heads([("beta", 2.0, 5.0)])
     rng = np.random.default_rng(123)
     n = 20000
-    draws = np.array([sample(dists, rng).raw[0] for _ in range(n)])
+    draws = np.array([sample(dists, rng)[0] for _ in range(n)])
     se = math.sqrt(10.0 / 392.0 / n)
     assert abs(draws.mean() - 2.0 / 7.0) < 3.0 * se
 
@@ -293,7 +289,7 @@ def test_sample_categorical_frequencies():
     n = 20000
     counts = np.zeros(6)
     for _ in range(n):
-        counts[int(sample(dists, rng).raw[0])] += 1
+        counts[int(sample(dists, rng)[0])] += 1
     freq = counts / n
     se = np.sqrt(probs * (1.0 - probs) / n)
     assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-9)
@@ -303,7 +299,7 @@ def test_sample_zero_probability_category_never_drawn():
     dists = dists_from_heads([("cat", np.array([0.0, 1.0, 0.0]))])
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert sample(dists, rng).raw[0] == 1.0
+        assert sample(dists, rng)[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +372,10 @@ def test_head_backward_softplus_chain():
     assert np.array_equal(g[2:8], np.arange(6.0))
 
 
-def test_forward_cached_agrees_with_forward():
+def test_forward_cached_is_mlp_then_heads():
     layout = layout_for_space(mixed_space())
     params = init_params(np.random.default_rng(1), 4, 8, layout.out_width)
-    a = forward(params, context_vector(4), layout)
+    a = heads_from_raw(mlp_forward(params, context_vector(4))[0], layout)
     b, cache = forward_cached(params, context_vector(4), layout)
     assert np.array_equal(a.alphas, b.alphas)
     assert np.array_equal(a.betas, b.betas)

@@ -8,7 +8,6 @@ from coredse.space import (
     Categorical,
     ConfigurationError,
     CycleError,
-    DegenerateBound,
     ParameterSpace,
     ParamSpec,
     Ranged,
@@ -86,13 +85,8 @@ def test_decode_scaled_example():
     assert decode_scaled(0.5, 1, 1, (33, 48)) == 17
 
 
-def test_decode_scaled_degenerate_raises_by_default():
-    with pytest.raises(DegenerateBound):
-        decode_scaled(0.5, 4, 1, (3,))
-
-
-def test_decode_scaled_degenerate_clamps_when_asked():
-    assert decode_scaled(0.5, 4, 1, (3,), on_degenerate="clamp") == 4
+def test_decode_scaled_degenerate_clamps_to_low():
+    assert decode_scaled(0.5, 4, 1, (3,)) == 4
 
 
 def test_decode_scaled_needs_sources():

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coredse.objective import EvalOutcome, RewardConfig
+from coredse.baselines import ga_run
+from coredse.objective import EvalOutcome, RewardConfig, Violation
 from coredse.problems import Problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
 from coredse.policy import PolicyParams
@@ -169,9 +170,30 @@ def test_history_schema_and_hashes():
         "running_reward",
         "best_reward",
     ]
-    hashes = {rec.action_hash for rep in res.history for rec in rep.records}
+    hashes = {h for rep in res.history for h in rep.action_hashes}
     assert all(len(h) == 16 for h in hashes)
     assert len(hashes) > 1  # distinct actions hash apart
+
+
+def test_history_rows_hold_python_numbers():
+    # The run log writes repr() of each float, and repr(np.float64(1.0)) is "np.float64(1.0)".
+    space = ParameterSpace((ParamSpec("v", Ranged(0, 15)),))
+
+    def evaluate(v):
+        if v >= 8:
+            return EvalOutcome.failed("upper half rejected")
+        return EvalOutcome.ok((float(v),), [Violation("odd", 0.5)] if v % 2 else [])
+
+    p = Problem("half", space, toy_line_problem().decode, evaluate)
+    floats = {"reward", "violation_sum", "running_reward", "best_reward"}
+    core = train(p, line_cfg(max_episodes=4))
+    ga = ga_run(p, WEIGHTS1, pop_size=8, generations=3, seed=1)
+    for result in (core, ga):
+        rows = list(result.history_rows())
+        assert {row["valid"] for row in rows} == {0, 1}
+        for row in rows:
+            for key, value in row.items():
+                assert type(value) is (float if key in floats else int), (key, type(value))
 
 
 def test_first_episode_running_reward_ema():
@@ -185,10 +207,10 @@ def test_all_anomalous_batch_uses_floor_reward():
     res = train(failing_problem(), line_cfg(max_episodes=2))
     first = res.history[0]
     assert first.n_valid == 0
-    assert all(rec.reward == -1e9 for rec in first.records)
+    assert (first.rewards == -1e9).all()
     assert abs(first.running_reward - 0.2 * -1e9) < 1e-3
     # later all-anomalous batches have no valid means to lean on: still the floor
-    assert all(rec.reward == -1e9 for rec in res.history[1].records)
+    assert (res.history[1].rewards == -1e9).all()
     assert res.best is None and res.best_feasible is None
 
 
@@ -206,9 +228,7 @@ def test_target_stops_early_and_freezes_running():
 
 def test_best_feasible_tracks_minimum_objective():
     res = train(toy_line_problem(), line_cfg(max_episodes=10))
-    rewards = [
-        rec.reward for rep in res.history for rec in rep.records
-    ]
+    rewards = np.concatenate([rep.rewards for rep in res.history])
     assert res.best is not None
     assert abs(res.best.reward - max(rewards)) < 1e-12
     # for this problem objective = -reward, so the two trackers agree
