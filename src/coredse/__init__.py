@@ -68,6 +68,7 @@ from .space import (
 )
 from .trainer import (
     PolicyConfig,
+    SearchLog,
     TrainConfig,
     TrainResult,
     entropy_coefficient,

@@ -15,7 +15,7 @@ import numpy as np
 from .objective import RewardConfig, scalar_reward
 from .problems import Problem
 from .space import Categorical, ParameterSpace
-from .trainer import BestDesign, EpisodeReport, _episode_report, _HistoryRows, _update_best, evaluate_batch
+from .trainer import SearchLog, evaluate_batch
 
 __all__ = [
     "BaselineResult",
@@ -24,15 +24,13 @@ __all__ = [
     "random_search",
 ]
 
+RANDOM_BATCH = 32  # designs random search scores per batch (one history entry)
 
-@dataclass
-class BaselineResult(_HistoryRows):
+
+@dataclass(kw_only=True)
+class BaselineResult(SearchLog):
     method: str
-    status: str
-    samples_used: int
-    best: BestDesign | None
-    best_feasible: BestDesign | None
-    history: list[EpisodeReport]
+    status: str = "budget_exhausted"
 
 
 def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
@@ -49,32 +47,13 @@ def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
     return raw
 
 
-class _Tracker:
-    """Scores genome batches into the search's best-so-far and history."""
-
-    def __init__(self, problem: Problem, cfg: RewardConfig):
-        self.problem = problem
-        self.cfg = cfg
-        self.best: BestDesign | None = None
-        self.best_feasible: BestDesign | None = None
-        self.history: list[EpisodeReport] = []
-        self.samples_used = 0
-
-    def score_batch(self, batch_index: int, genomes: list[np.ndarray]) -> np.ndarray:
-        raws = genome_to_raw(self.problem.space, np.stack(genomes))
-        results = evaluate_batch(self.problem, raws)
-        self.samples_used += len(raws)
-
-        outcomes = [o for _, o in results]
-        fitness = np.array(
-            [self.cfg.r_ano if o.anomalous else scalar_reward(o, self.cfg) for o in outcomes]
-        )
-        self.best, self.best_feasible = _update_best(
-            self.best, self.best_feasible, batch_index, raws, results, fitness, self.cfg.weights
-        )
-        nan = float("nan")
-        self.history.append(_episode_report(batch_index, raws, outcomes, fitness, self.best, nan, nan))
-        return fitness
+def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, genomes) -> np.ndarray:
+    """Score a batch of genomes by the shaped reward and record it as the result's next batch."""
+    raws = genome_to_raw(problem.space, np.stack(genomes))
+    results = evaluate_batch(problem, raws)
+    fitness = np.array([cfg.r_ano if o.anomalous else scalar_reward(o, cfg) for _, o in results])
+    result.record(len(result.history), raws, results, fitness, cfg.weights, np.nan, np.nan)
+    return fitness
 
 
 def _tournament(rng: np.random.Generator, fitness: np.ndarray, k: int) -> int:
@@ -101,12 +80,12 @@ def ga_run(
         raise ValueError("generations must be >= 0")
     n = problem.n_raw
     rng = np.random.default_rng([seed])
-    tracker = _Tracker(problem, cfg)
+    result = BaselineResult(method="ga")
 
     pop = [rng.random(n) for _ in range(pop_size)]
-    fitness = tracker.score_batch(0, pop)
+    fitness = _score_batch(result, problem, cfg, pop)
 
-    for gen in range(1, generations + 1):
+    for _ in range(generations):
         elite_order = np.argsort(fitness)[::-1][:elitism]
         children = [pop[i].copy() for i in elite_order]
         while len(children) < pop_size:
@@ -122,16 +101,8 @@ def ga_run(
             child = np.clip(child + np.where(mut, noise, 0.0), 0.0, 1.0)
             children.append(child)
         pop = children
-        fitness = tracker.score_batch(gen, pop)
-
-    return BaselineResult(
-        method="ga",
-        status="budget_exhausted",
-        samples_used=tracker.samples_used,
-        best=tracker.best,
-        best_feasible=tracker.best_feasible,
-        history=tracker.history,
-    )
+        fitness = _score_batch(result, problem, cfg, pop)
+    return result
 
 
 def random_search(
@@ -139,31 +110,16 @@ def random_search(
     cfg: RewardConfig = RewardConfig(),
     budget: int = 1024,
     seed: int = 0,
-    chunk: int = 32,
 ) -> BaselineResult:
-    """Uniform sampling; sample i draws from default_rng([seed, i]), so the
-    first N evaluations of a longer run coincide with a budget-N run."""
+    """Uniform sampling in batches of RANDOM_BATCH; sample i draws from
+    default_rng([seed, i]), so the first N evaluations of a longer run
+    coincide with a budget-N run."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     n = problem.n_raw
-    tracker = _Tracker(problem, cfg)
-
-    done = 0
-    batch_index = 0
-    while done < budget:
-        size = min(chunk, budget - done)
-        genomes = [np.random.default_rng([seed, done + j]).random(n) for j in range(size)]
-        tracker.score_batch(batch_index, genomes)
-        done += size
-        batch_index += 1
-
-    return BaselineResult(
-        method="random",
-        status="budget_exhausted",
-        samples_used=tracker.samples_used,
-        best=tracker.best,
-        best_feasible=tracker.best_feasible,
-        history=tracker.history,
-    )
+    result = BaselineResult(method="random")
+    for start in range(0, budget, RANDOM_BATCH):
+        stop = min(start + RANDOM_BATCH, budget)
+        genomes = [np.random.default_rng([seed, i]).random(n) for i in range(start, stop)]
+        _score_batch(result, problem, cfg, genomes)
+    return result

@@ -50,7 +50,7 @@ _TRAIN_KEYS = (
     "seed",
 )
 _GA_KEYS = ("pop_size", "tournament_k", "crossover_rate", "mutation_rate", "mutation_sigma", "elitism")
-_TOP_KEYS = ("workload", "platform", "method", "space", "cost", "reward", "policy", "train", "ga", "random")
+_TOP_KEYS = ("workload", "platform", "method", "space", "cost", "reward", "policy", "train", "ga")
 
 
 class CliError(Exception):
@@ -76,7 +76,6 @@ def default_config() -> dict:
             "mutation_sigma": 0.1,
             "elitism": 1,
         },
-        "random": {"chunk": 32},
     }
 
 
@@ -157,10 +156,6 @@ class Setup:
         _check_keys("ga", ga, _GA_KEYS)
         self.ga = {**default_config()["ga"], **ga}
 
-        rnd = _section(config, "random")
-        _check_keys("random", rnd, ("chunk",))
-        self.chunk = int(rnd.get("chunk", 32))
-
     def problem(self):
         return accelerator_problem(
             self.workload,
@@ -236,13 +231,7 @@ def cmd_run(args) -> int:
             elitism=int(setup.ga["elitism"]),
         )
     else:
-        result = random_search(
-            problem,
-            setup.reward,
-            budget=tcfg.sample_budget,
-            seed=tcfg.seed,
-            chunk=setup.chunk,
-        )
+        result = random_search(problem, setup.reward, budget=tcfg.sample_budget, seed=tcfg.seed)
 
     _write_history(out / "history.csv", result.history_rows())
     summary = {

@@ -347,6 +347,11 @@ class CoDesignSpace:
 
         npe_cap = _as_range("n_pe", opt.n_pe)[1]
         npe_src = int(self.fixed["n_pe"]) if "n_pe" in self.fixed else "n_pe"
+        if not opt.include_parallel:
+            # Above n_pe or a layer's size along the dim, every design breaks a level-1 cap.
+            cap = min([npe_cap] + [layer.dims()[fixed_pdim] for layer in self.workload.layers])
+            if not 1 <= opt.fixed_parallelism <= cap:
+                raise ConfigurationError(f"fixed_parallelism {opt.fixed_parallelism} outside 1..{cap}")
         for li, layer in enumerate(self.workload.layers):
             dims = layer.dims()
             prefix = f"l{li}."

@@ -21,6 +21,7 @@ never calls it fails.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,6 +55,7 @@ __all__ = [
     "TrainConfig",
     "EpisodeReport",
     "BestDesign",
+    "SearchLog",
     "TrainResult",
     "entropy_coefficient",
     "evaluate_batch",
@@ -134,8 +136,51 @@ class BestDesign:
     episode: int
 
 
-class _HistoryRows:
-    """The run log rows of a search result's EpisodeReport history."""
+@dataclass
+class SearchLog:
+    """A search's budget accounting: designs scored, best designs and history.
+
+    Every search (the trainer, the GA and random search) records each scored
+    batch through `record`, so all three count samples and keep their best
+    designs the same way.
+    """
+
+    samples_used: int = 0
+    best: BestDesign | None = None
+    best_feasible: BestDesign | None = None
+    history: list[EpisodeReport] = field(default_factory=list)
+
+    def record(self, episode: int, raws, results, rewards, weights, beta_e: float, running: float) -> None:
+        """Count one scored batch, fold it into the best designs and log it.
+
+        `best` is the top reward, `best_feasible` the lowest objective among
+        feasible designs. Anomalous designs never count; ties keep the
+        earlier design.
+        """
+        self.samples_used += len(raws)
+        for k, (design, outcome) in enumerate(results):
+            if outcome.anomalous:
+                continue
+            if self.best is None or rewards[k] > self.best.reward:
+                self.best = BestDesign(
+                    float(rewards[k]), raw_objective(outcome, weights), design, raws[k].copy(), episode
+                )
+            if outcome.feasible:
+                obj = raw_objective(outcome, weights)
+                if self.best_feasible is None or obj < self.best_feasible.objective:
+                    self.best_feasible = BestDesign(float(rewards[k]), obj, design, raws[k].copy(), episode)
+        self.history.append(
+            EpisodeReport(
+                episode=episode,
+                beta_e=beta_e,
+                running_reward=running,
+                best_reward=self.best.reward if self.best is not None else float("nan"),
+                rewards=np.asarray(rewards, dtype=float),
+                valid=np.array([not outcome.anomalous for _, outcome in results], dtype=bool),
+                violation_sums=np.array([outcome.violation_sum() for _, outcome in results], dtype=float),
+                action_hashes=tuple(_action_hash(raw) for raw in raws),
+            )
+        )
 
     def history_rows(self):
         """Flat per-sample rows matching the run log schema."""
@@ -153,14 +198,10 @@ class _HistoryRows:
                 }
 
 
-@dataclass
-class TrainResult(_HistoryRows):
+@dataclass(kw_only=True)
+class TrainResult(SearchLog):
     status: str
     episodes_run: int
-    samples_used: int
-    best: BestDesign | None
-    best_feasible: BestDesign | None
-    history: list[EpisodeReport]
     params: PolicyParams
     state: Any = field(default=None, repr=False)
 
@@ -214,53 +255,15 @@ def evaluate_batch(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
     return _decode_and_eval(problem, raws)
 
 
-def _update_best(best, best_feasible, episode: int, raws, results, rewards, weights):
-    """Fold one scored batch into (best by reward, best feasible by objective).
-
-    Anomalous designs never count; ties keep the earlier design.
-    """
-    for k, (design, outcome) in enumerate(results):
-        if outcome.anomalous:
-            continue
-        if best is None or rewards[k] > best.reward:
-            best = BestDesign(
-                float(rewards[k]), raw_objective(outcome, weights), design, raws[k].copy(), episode
-            )
-        if outcome.feasible:
-            obj = raw_objective(outcome, weights)
-            if best_feasible is None or obj < best_feasible.objective:
-                best_feasible = BestDesign(float(rewards[k]), obj, design, raws[k].copy(), episode)
-    return best, best_feasible
-
-
-def _episode_report(
-    episode: int, raws: np.ndarray, outcomes, rewards: np.ndarray, best, beta_e: float, running: float
-) -> EpisodeReport:
-    """One scored batch's history entry."""
-    return EpisodeReport(
-        episode=episode,
-        beta_e=beta_e,
-        running_reward=running,
-        best_reward=best.reward if best is not None else float("nan"),
-        rewards=np.asarray(rewards, dtype=float),
-        valid=np.array([not outcome.anomalous for outcome in outcomes], dtype=bool),
-        violation_sums=np.array([outcome.violation_sum() for outcome in outcomes], dtype=float),
-        action_hashes=tuple(_action_hash(raw) for raw in raws),
-    )
-
-
-@dataclass
-class _LoopState:
+@dataclass(kw_only=True)
+class _LoopState(SearchLog):
     params: PolicyParams
     adam_m: list[np.ndarray]
     adam_v: list[np.ndarray]
-    adam_step: int
-    episode: int
-    running: float
-    prev_valid_mean: float | None
-    samples_used: int
-    best: BestDesign | None
-    best_feasible: BestDesign | None
+    adam_step: int = 0
+    episode: int = 0
+    running: float = 0.0
+    prev_valid_mean: float | None = None
 
 
 def _fresh_state(problem: Problem, cfg: TrainConfig) -> _LoopState:
@@ -269,18 +272,10 @@ def _fresh_state(problem: Problem, cfg: TrainConfig) -> _LoopState:
     params = init_params(
         rng, cfg.policy.input_width, cfg.policy.hidden_width, layout.out_width
     )
-    zeros = [np.zeros_like(a) for a in params.arrays()]
     return _LoopState(
         params=params,
-        adam_m=zeros,
+        adam_m=[np.zeros_like(a) for a in params.arrays()],
         adam_v=[np.zeros_like(a) for a in params.arrays()],
-        adam_step=0,
-        episode=0,
-        running=0.0,
-        prev_valid_mean=None,
-        samples_used=0,
-        best=None,
-        best_feasible=None,
     )
 
 
@@ -375,17 +370,28 @@ def _shaped_reward(
     return rewards, cur_valid_mean
 
 
+def _target_reached(cfg: TrainConfig, best_feasible: BestDesign | None, outcomes) -> bool:
+    """Whether the best feasible objective, once this batch is recorded, meets the target."""
+    if cfg.target_objective is None:
+        return False
+    objectives = [raw_objective(o, cfg.reward.weights) for o in outcomes if o.feasible]
+    if best_feasible is not None:
+        objectives.append(best_feasible.objective)
+    return min(objectives, default=math.inf) <= cfg.target_objective
+
+
 def train(
     problem: Problem,
     cfg: TrainConfig = TrainConfig(),
     state: _LoopState | None = None,
     history: list[EpisodeReport] | None = None,
 ) -> TrainResult:
-    """Run the search loop to completion; pass a restored state to resume."""
+    """Run the search loop to completion; pass a restored state, and the
+    history it was saved with, to resume."""
     layout = layout_for_space(problem.space)
     if state is None:
         state = _fresh_state(problem, cfg)
-    history = list(history) if history else []
+    state.history = list(history) if history else []
     context = context_vector(cfg.policy.input_width)
     episodes = cfg.episode_count()
     rcfg = cfg.reward
@@ -401,22 +407,13 @@ def train(
         )
 
         results = evaluate_batch(problem, raws)
-        state.samples_used += cfg.batch_size
-
         outcomes = [outcome for _, outcome in results]
         shaped, cur_valid_mean = _shaped_reward(outcomes, rcfg, ep + 1, state.prev_valid_mean, state.running)
-        state.best, state.best_feasible = _update_best(
-            state.best, state.best_feasible, ep, raws, results, shaped, rcfg.weights
-        )
 
-        hit_target = (
-            cfg.target_objective is not None
-            and state.best_feasible is not None
-            and state.best_feasible.objective <= cfg.target_objective
-        )
+        hit_target = _target_reached(cfg, state.best_feasible, outcomes)
         if not hit_target:
             state.running = update_running(state.running, shaped, rcfg.alpha_r)
-        history.append(_episode_report(ep, raws, outcomes, shaped, state.best, beta_e, state.running))
+        state.record(ep, raws, results, shaped, rcfg.weights, beta_e, state.running)
 
         if hit_target:
             state.episode += 1
@@ -438,7 +435,7 @@ def train(
         samples_used=state.samples_used,
         best=state.best,
         best_feasible=state.best_feasible,
-        history=history,
+        history=state.history,
         params=state.params,
         state=state,
     )

@@ -99,7 +99,7 @@ def test_fixed_and_narrow_spaces_match_scalar(workload, options):
         (SpaceOptions(), False),
         (SpaceOptions(n_pe=(0, 64, 2)), True),  # n_pe 0: par1's bound clamps, and the design is invalid
         (SpaceOptions(n_pe=(1, 63, 2)), True),  # odd PE counts
-        (SpaceOptions(include_parallel=False, fixed_parallelism=0), True),
+        (SpaceOptions(include_parallel=False, fixed_parallelism=4), True),  # over n_pe 2, or a small tile
     ],
 )
 def test_structurally_invalid_rows_match_scalar(options, use_scaling):

@@ -66,7 +66,6 @@ def test_defaults_prints_complete_config(capsys):
         "policy",
         "train",
         "ga",
-        "random",
     }
     assert config["train"]["batch_size"] == 32
     assert config["reward"]["alpha_r"] == 0.2
@@ -122,6 +121,7 @@ def test_removed_knobs_are_unknown_keys(tmp_path, capsys):
     for section, key, kw in (
         ("'reward'", "beta_r", dict(reward={"weights": [-1.0, 0.0], "beta_r": 1.0})),
         ("'train'", "workers", dict(train=train)),
+        ("'top level'", "random", dict(extra={"random": {"chunk": 32}})),
     ):
         path = write_setup(tmp_path, method="core", **kw)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -137,6 +137,14 @@ def test_a_fixed_parallel_dim_that_is_no_dim_is_a_config_error(tmp_path, capsys)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "fixed_parallel_dim 'k'" in err
+
+
+def test_fixed_parallelism_out_of_range_is_a_config_error(tmp_path, capsys):
+    space = {"n_pe": [2, 16, 2], "tile_dims": ["K"], "include_parallel": False, "fixed_parallelism": 0}
+    path = write_setup(tmp_path, space=space)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixed_parallelism 0" in err
 
 
 def test_unknown_method(tmp_path, capsys):

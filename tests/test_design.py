@@ -208,6 +208,20 @@ def test_bad_fixed_order_rejected():
         CoDesignSpace(small_workload(), SpaceOptions(fixed_order=("K",) * 6))
 
 
+def test_fixed_parallelism_outside_its_caps_is_rejected():
+    # Below 1, or above n_pe's upper bound or the layer's size along the
+    # fixed dim (K=8, C=4), every design breaks a parallelism rule.
+    for value, kw in ((0, {}), (9, {}), (5, dict(n_pe=(2, 4, 2))), (5, dict(fixed_parallel_dim="C"))):
+        with pytest.raises(ConfigurationError, match="fixed_parallelism"):
+            default_space(include_parallel=False, fixed_parallelism=value, **kw)
+    for value, kw in ((1, {}), (8, {}), (4, dict(n_pe=(2, 4, 2))), (4, dict(fixed_parallel_dim="C"))):
+        cd = default_space(include_parallel=False, fixed_parallelism=value, **kw)
+        config = cd.decode(raw_for(cd, 1.0))
+        assert config.mappings[0][0].parallelism == value
+        assert validate_config(config, cd.workload) == []
+    default_space(fixed_parallelism=0)  # unused while parallelism is searched
+
+
 def test_cardinality_counts_fixed_space():
     cd = default_space(
         n_pe=(8, 8, 2),

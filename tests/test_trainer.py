@@ -14,6 +14,7 @@ from coredse.trainer import (
     ADAM_BLOCK,
     ADAM_EPS,
     PolicyConfig,
+    SearchLog,
     TrainConfig,
     entropy_coefficient,
     evaluate_batch,
@@ -236,6 +237,36 @@ def test_best_feasible_tracks_minimum_objective():
     assert res.best_feasible.design == res.best.design
 
 
+def test_search_log_records_a_hand_built_batch():
+    ok, slow = EvalOutcome.ok((4.0,)), EvalOutcome.ok((1.0,), [Violation("area", 0.5)])
+    results = [
+        ("a", ok),  # feasible, objective 4
+        ("b", slow),  # top valid reward, but infeasible
+        ("c", EvalOutcome.failed("no model")),  # top reward, anomalous
+        ("d", ok),  # ties "a" on objective
+        ("e", slow),  # ties "b" on reward
+    ]
+    rewards = np.array([-4.0, 2.0, 10.0, -4.0, 2.0])
+    raws = np.arange(5.0).reshape(5, 1)
+    log = SearchLog()
+    log.record(7, raws, results, rewards, (-1.0,), 0.5, -1.5)
+
+    assert (log.best.design, log.best.reward, log.best.objective, log.best.episode) == ("b", 2.0, 1.0, 7)
+    assert (log.best_feasible.design, log.best_feasible.objective) == ("a", 4.0)
+    assert log.best_feasible.reward == -4.0 and log.best_feasible.episode == 7
+    assert log.best.raw.tolist() == [1.0] and not np.shares_memory(log.best.raw, raws)
+    assert log.samples_used == 5 and len(list(log.history_rows())) == 5
+    (report,) = log.history
+    assert report.valid.tolist() == [True, True, False, True, True]
+    assert report.violation_sums.tolist() == [0.0, 0.5, 0.0, 0.0, 0.5]
+    assert (report.episode, report.beta_e, report.running_reward, report.best_reward) == (7, 0.5, -1.5, 2.0)
+
+    # A later batch that only ties keeps both earlier designs.
+    log.record(8, raws[:1], [("f", ok)], np.array([2.0]), (-1.0,), 0.5, -1.5)
+    assert log.best.design == "b" and log.best_feasible.design == "a"
+    assert log.samples_used == 6 and len(list(log.history_rows())) == 6
+
+
 def test_rerun_is_byte_identical():
     p = toy_line_problem()
     a = train(p, line_cfg(max_episodes=5))
@@ -282,6 +313,23 @@ def test_resume_matches_straight_run(tmp_path):
         assert np.array_equal(wa, wb)
     assert r2.best.reward == straight.best.reward
     assert r2.best_feasible.objective == straight.best_feasible.objective
+
+
+def test_resumed_best_that_meets_the_target_stops_after_one_episode(tmp_path):
+    p = toy_line_problem()
+    r1 = train(p, line_cfg(max_episodes=3))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, r1.state)
+    # Resumed on a line whose designs all lie 85 or more from its target, so
+    # only the carried-in best can meet a target set at its objective.
+    far = toy_line_problem(target=100)
+    state = load_checkpoint(path, far)
+    running = state.running
+    cfg = line_cfg(max_episodes=10, target_objective=state.best_feasible.objective)
+    res = train(far, cfg, state=state, history=r1.history)
+    assert res.status == "target_reached" and res.episodes_run == 4
+    assert len(res.history) == 4 and res.samples_used == 32
+    assert res.history[-1].running_reward == running == res.state.running
 
 
 def test_checkpoint_restores_best_designs(tmp_path):
