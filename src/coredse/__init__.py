@@ -47,7 +47,6 @@ from .policy import (
     kl,
     layout_for_space,
     load_params,
-    log_prob,
     sample,
     save_params,
 )

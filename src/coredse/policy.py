@@ -9,6 +9,13 @@ Beta(1 + ln 2, 1 + ln 2)); categorical parameters get a softmax head.
 Gradients are computed in closed form (digamma/trigamma terms for the
 Beta heads) and pushed through the MLP by hand-written reverse mode;
 there is no autodiff anywhere.
+
+`sample` draws a whole batch, one row per generator, and each row uses its
+generator exactly as drawing one parameter at a time in declaration order
+would (`Generator.beta` for a Beta head, one `random()` for a categorical
+head). A row's values therefore depend only on its generator and the
+distributions, never on the batch size or on the other rows, which is what
+the trainer's per-(seed, episode, slot) determinism contract needs.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import Generator
 from scipy.special import betaln, digamma
 
 from .space import Categorical, ParameterSpace, Ranged, ShapeError, SortKey
@@ -42,7 +51,6 @@ __all__ = [
     "forward_cached",
     "head_backward",
     "sample",
-    "log_prob",
     "stack_actions",
     "log_probs",
     "entropy",
@@ -52,6 +60,9 @@ __all__ = [
 ]
 
 RAW_CLIP = 1e-6
+# Shortest run of Beta heads that `sample` draws with one standard_gamma call: an
+# array call's fixed cost is about that of seven scalar `beta` calls.
+GAMMA_RUN_MIN = 8
 CHECKPOINT_MAGIC = b"COREPOL1"
 
 
@@ -76,6 +87,9 @@ class HeadLayout:
     out_width: int
     cat_sizes: np.ndarray  # k of each categorical head, in head order
     cat_flat_off: np.ndarray  # start of each categorical head in DistributionSet.flat_probs
+    # ("beta", h0, h1) for each maximal run of consecutive Beta heads h0..h1-1, and
+    # ("cat", i, i + 1) for each categorical parameter i, in declaration order; see `sample`
+    draw_runs: tuple[tuple[str, int, int], ...]
 
     @property
     def n_params(self) -> int:
@@ -87,14 +101,20 @@ class HeadLayout:
 
 
 def _make_layout(kinds: list[str], cat_k: list[int]) -> HeadLayout:
-    beta_params, cat_params, beta_off, cat_off = [], [], [], []
+    beta_params, cat_params, beta_off, cat_off, draw_runs = [], [], [], [], []
     off = 0
     for i, kind in enumerate(kinds):
         if kind == "beta":
+            h = len(beta_params)
+            if draw_runs and draw_runs[-1][0] == "beta":
+                draw_runs[-1] = ("beta", draw_runs[-1][1], h + 1)
+            else:
+                draw_runs.append(("beta", h, h + 1))
             beta_params.append(i)
             beta_off.append(off)
             off += 2
         else:
+            draw_runs.append(("cat", i, i + 1))
             cat_params.append(i)
             cat_off.append(off)
             off += cat_k[i]
@@ -109,6 +129,7 @@ def _make_layout(kinds: list[str], cat_k: list[int]) -> HeadLayout:
         out_width=off,
         cat_sizes=cat_sizes,
         cat_flat_off=np.cumsum(cat_sizes) - cat_sizes,
+        draw_runs=tuple(draw_runs),
     )
 
 
@@ -273,51 +294,68 @@ def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarra
     return g
 
 
-def sample(dists: DistributionSet, rng: np.random.Generator) -> np.ndarray:
-    """Draw one raw action vector; Beta draws clipped into [RAW_CLIP, 1 - RAW_CLIP].
+def _draw_calls(dists: DistributionSet) -> list[tuple]:
+    """The generator calls that draw one row under `dists`, in draw order, as (method, args, columns).
 
-    Category indices are stored as floats.
+    A run of at least GAMMA_RUN_MIN Beta heads takes one `standard_gamma`
+    call on the interleaved shapes (a0, b0, a1, b1, ...), from which
+    x = Ga / (Ga + Gb). That is numpy's `random_beta` operation for
+    operation wherever alpha > 1 or beta > 1. A head with alpha <= 1 and
+    beta <= 1 (numpy then takes Johnk's algorithm), and every head of a
+    shorter run, takes its own `beta` call. A categorical head takes one
+    `random` call.
+    """
+    shapes = np.stack((dists.alphas, dists.betas), axis=1).ravel()
+    johnk = np.flatnonzero((dists.alphas <= 1.0) & (dists.betas <= 1.0)).tolist()
+    alphas, betas = dists.alphas.tolist(), dists.betas.tolist()
+    cols = dists.layout.beta_params.tolist()
+    calls = []
 
-    Draws happen in parameter declaration order, one per parameter:
-    Beta heads through the generator's beta sampler, categorical heads by
-    inverse CDF of a single uniform.
+    def beta_calls(h0: int, h1: int) -> None:
+        if h1 - h0 >= GAMMA_RUN_MIN:
+            run = slice(cols[h0], cols[h0] + h1 - h0)
+            calls.append((Generator.standard_gamma, (shapes[2 * h0 : 2 * h1],), run))
+        else:
+            calls.extend((Generator.beta, (alphas[h], betas[h]), cols[h]) for h in range(h0, h1))
+
+    for kind, lo, hi in dists.layout.draw_runs:
+        if kind == "cat":
+            calls.append((Generator.random, (), lo))
+            continue
+        for h in (h for h in johnk if lo <= h < hi):
+            beta_calls(lo, h)
+            calls.append((Generator.beta, (alphas[h], betas[h]), cols[h]))
+            lo = h + 1
+        beta_calls(lo, hi)
+    return calls
+
+
+def sample(dists: DistributionSet, rngs: Sequence[Generator]) -> np.ndarray:
+    """Draw a (len(rngs), n_params) raw matrix, row k from generator rngs[k].
+
+    Beta draws are clipped into [RAW_CLIP, 1 - RAW_CLIP]; category indices
+    are stored as floats. Each row consumes its generator exactly as one
+    draw per parameter in declaration order would: `Generator.beta` for a
+    Beta head, and for a categorical head one `random()` mapped through the
+    inverse CDF. Rows are drawn one after another, so `[rng] * n` gives n
+    successive draws from one generator. The generator calls are grouped
+    into runs (see `_draw_calls`), and clipping and the inverse CDF run
+    once over the whole batch.
     """
     layout = dists.layout
-    raw = np.empty(layout.n_params)
-    bi = 0
-    ci = 0
-    for i, kind in enumerate(layout.kinds):
-        if kind == "beta":
-            x = rng.beta(dists.alphas[bi], dists.betas[bi])
-            raw[i] = min(max(x, RAW_CLIP), 1.0 - RAW_CLIP)
-            bi += 1
-        else:
-            u = rng.random()
-            cum = np.cumsum(dists.cat_probs[ci])
-            idx = int(np.searchsorted(cum, u, side="right"))
-            raw[i] = min(idx, layout.cat_k[i] - 1)
-            ci += 1
+    calls = _draw_calls(dists)
+    rows = [[method(rng, *args) for method, args, _ in calls] for rng in rngs]
+    raw = np.empty((len(rows), layout.n_params))
+    for (method, _, cols), drawn in zip(calls, zip(*rows)):
+        values = np.array(drawn)
+        if method is Generator.standard_gamma:
+            values = values[:, 0::2] / (values[:, 0::2] + values[:, 1::2])
+        raw[:, cols] = values
+    raw[:, layout.beta_params] = np.clip(raw[:, layout.beta_params], RAW_CLIP, 1.0 - RAW_CLIP)
+    for probs, col in zip(dists.cat_probs, layout.cat_params.tolist()):
+        index = np.searchsorted(np.cumsum(probs), raw[:, col], side="right")
+        raw[:, col] = np.minimum(index, len(probs) - 1)
     return raw
-
-
-def log_prob(dists: DistributionSet, raw: np.ndarray) -> float:
-    layout = dists.layout
-    if raw.shape != (layout.n_params,):
-        raise ShapeError(f"action length {raw.shape} != {layout.n_params}")
-    total = 0.0
-    if layout.n_beta:
-        x = raw[layout.beta_params]
-        if np.any(x <= 0.0) or np.any(x >= 1.0):
-            raise DomainError("beta-head values must lie strictly inside (0, 1)")
-        a, b = dists.alphas, dists.betas
-        total += float(np.sum((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - dists.beta_norm))
-    for j, pi in enumerate(layout.cat_params):
-        idx = int(raw[pi])
-        if not 0 <= idx < layout.cat_k[pi]:
-            raise DomainError(f"category index {idx} out of range({layout.cat_k[pi]})")
-        p = dists.cat_probs[j][idx]
-        total += float(np.log(p)) if p > 0.0 else float("-inf")
-    return total
 
 
 class ActionBatch(NamedTuple):
@@ -329,11 +367,11 @@ class ActionBatch(NamedTuple):
 
 
 def stack_actions(layout: HeadLayout, raws: np.ndarray) -> ActionBatch:
-    """Reduce a non-empty (E, n) raw matrix, one action a row, with the checks `log_prob` makes.
+    """Reduce a non-empty (E, n) raw matrix, one action a row, to what densities need.
 
     Raises ShapeError for rows of the wrong length and DomainError for a Beta
     value outside (0, 1) or a category outside range(k). Category values
-    truncate toward zero, as `int()` does in `log_prob`.
+    truncate toward zero, as `int()` does.
     """
     raw = np.asarray(raws, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != layout.n_params:
@@ -360,8 +398,7 @@ def log_probs(dists: DistributionSet, batch: ActionBatch) -> np.ndarray:
     The Beta log-densities are linear in (log x, log(1 - x)) with
     coefficients (alpha - 1, beta - 1) and the cached normalisers as
     constant; the categorical part gathers the flat probabilities at the
-    chosen categories. A zero-probability category gives -inf, as in
-    `log_prob`, the scalar reference.
+    chosen categories. A zero-probability category gives -inf.
     """
     total = batch.log_x @ (dists.alphas - 1.0) + batch.log_1mx @ (dists.betas - 1.0)
     total -= dists.beta_norm.sum()

@@ -9,7 +9,11 @@ history: the same matrix is evaluated, scored by the surrogate and
 recorded, and an `EpisodeReport` holds the batch's per-design arrays.
 Determinism contract: results are byte-identical across reruns, because
 each sample's randomness comes from a generator seeded by (seed, episode,
-slot) rather than from shared stream state.
+slot) rather than from shared stream state. An episode builds its batch's
+generators and makes one `sample` call; row `slot` depends only on its own
+generator and the episode's policy, so a resumed run draws what a straight
+run draws. `sample` must stay a name in this module's globals: perfbench
+wraps `trainer.sample` for its sampling span.
 
 A batch is decoded and evaluated by `evaluate_batch`, through the
 problem's array path where it has one. Its body is `_decode_and_eval`,
@@ -380,6 +384,18 @@ def _target_reached(cfg: TrainConfig, best_feasible: BestDesign | None, outcomes
     return min(objectives, default=math.inf) <= cfg.target_objective
 
 
+def _check_policy_shapes(params: PolicyParams, policy: PolicyConfig, out_width: int) -> None:
+    """ValueError unless the weights are (input, hidden, hidden, hidden, out_width) wide."""
+    h = policy.hidden_width
+    widths = (policy.input_width, h, h, h, out_width)
+    want = [(fan_out, fan_in) for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+    got = [tuple(w.shape) for w in params.weights]
+    if got != want:
+        raise ValueError(
+            f"state's policy weights have shapes {got}, but cfg.policy and the problem need {want}"
+        )
+
+
 def train(
     problem: Problem,
     cfg: TrainConfig = TrainConfig(),
@@ -391,6 +407,8 @@ def train(
     layout = layout_for_space(problem.space)
     if state is None:
         state = _fresh_state(problem, cfg)
+    else:
+        _check_policy_shapes(state.params, cfg.policy, layout.out_width)
     state.history = list(history) if history else []
     context = context_vector(cfg.policy.input_width)
     episodes = cfg.episode_count()
@@ -402,9 +420,7 @@ def train(
         beta_e = entropy_coefficient(ep, cfg)
 
         dists, cache = forward_cached(state.params, context, layout)
-        raws = np.array(
-            [sample(dists, np.random.default_rng([cfg.seed, ep, slot])) for slot in range(cfg.batch_size)]
-        )
+        raws = sample(dists, [np.random.default_rng([cfg.seed, ep, slot]) for slot in range(cfg.batch_size)])
 
         results = evaluate_batch(problem, raws)
         outcomes = [outcome for _, outcome in results]

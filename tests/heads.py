@@ -1,8 +1,11 @@
-"""Test helper: a DistributionSet built straight from head parameters."""
+"""Test helpers: a DistributionSet built straight from head parameters, and
+the one-action-at-a-time references that `policy.sample` and
+`policy.log_probs` are checked against."""
 
 import numpy as np
 
-from coredse.policy import DistributionSet, _make_layout
+from coredse.policy import RAW_CLIP, DistributionSet, DomainError, _make_layout
+from coredse.space import ShapeError
 
 
 def dists_from_heads(heads) -> DistributionSet:
@@ -27,3 +30,46 @@ def dists_from_heads(heads) -> DistributionSet:
         betas=np.asarray(betas, dtype=float),
         cat_probs=tuple(cats),
     )
+
+
+def sample_one(dists: DistributionSet, rng: np.random.Generator) -> np.ndarray:
+    """One raw action, one draw per parameter in declaration order: a Beta
+    head through `rng.beta`, a categorical head by inverse CDF of one
+    `rng.random()`. Beta draws are clipped into [RAW_CLIP, 1 - RAW_CLIP]."""
+    layout = dists.layout
+    raw = np.empty(layout.n_params)
+    bi = 0
+    ci = 0
+    for i, kind in enumerate(layout.kinds):
+        if kind == "beta":
+            x = rng.beta(dists.alphas[bi], dists.betas[bi])
+            raw[i] = min(max(x, RAW_CLIP), 1.0 - RAW_CLIP)
+            bi += 1
+        else:
+            u = rng.random()
+            cum = np.cumsum(dists.cat_probs[ci])
+            idx = int(np.searchsorted(cum, u, side="right"))
+            raw[i] = min(idx, layout.cat_k[i] - 1)
+            ci += 1
+    return raw
+
+
+def log_prob(dists: DistributionSet, raw: np.ndarray) -> float:
+    """log dists(raw) of one action, head by head."""
+    layout = dists.layout
+    if raw.shape != (layout.n_params,):
+        raise ShapeError(f"action length {raw.shape} != {layout.n_params}")
+    total = 0.0
+    if layout.n_beta:
+        x = raw[layout.beta_params]
+        if np.any(x <= 0.0) or np.any(x >= 1.0):
+            raise DomainError("beta-head values must lie strictly inside (0, 1)")
+        a, b = dists.alphas, dists.betas
+        total += float(np.sum((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - dists.beta_norm))
+    for j, pi in enumerate(layout.cat_params):
+        idx = int(raw[pi])
+        if not 0 <= idx < layout.cat_k[pi]:
+            raise DomainError(f"category index {idx} out of range({layout.cat_k[pi]})")
+        p = dists.cat_probs[j][idx]
+        total += float(np.log(p)) if p > 0.0 else float("-inf")
+    return total

@@ -22,7 +22,6 @@ from coredse.policy import (
     heads_from_raw,
     layout_for_space,
     kl,
-    log_prob,
     log_probs,
     sample,
     stack_actions,
@@ -30,7 +29,7 @@ from coredse.policy import (
 from scipy.special import polygamma
 
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged, ShapeError, SortKey
-from heads import dists_from_heads
+from heads import dists_from_heads, log_prob
 
 
 def softmax(z):
@@ -258,7 +257,7 @@ def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
     for seed in range(5):
         rng = np.random.default_rng([seed])
         dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-        actions = np.array([sample(dists, rng) for _ in range(16)])
+        actions = sample(dists, [rng] * 16)
         advs = rng.normal(scale=10.0, size=16)
         beta_e = float(rng.uniform(0.0, 1.0))
         ref_value, *ref = ratio_kl_surrogate_gradients(dists, dists, actions, advs, 3.0, beta_e)
@@ -342,14 +341,14 @@ def test_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# batched log-probabilities against the scalar log_prob
+# batched log-probabilities against the one-action reference log_prob
 
 
 def test_batched_log_probs_match_scalar_log_prob():
     layout = layout_for_space(mixed_space())
     rng = np.random.default_rng(5)
     dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-    actions = np.array([sample(dists, rng) for _ in range(24)])
+    actions = sample(dists, [rng] * 24)
 
     want = np.array([log_prob(dists, a) for a in actions])
     got = log_probs(dists, stack_actions(layout, actions))

@@ -1,13 +1,15 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from coredse import trainer as trainer_module
 from coredse.baselines import ga_run
 from coredse.objective import EvalOutcome, RewardConfig, Violation
 from coredse.problems import Problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
-from coredse.policy import PolicyParams
+from coredse.policy import PolicyParams, layout_for_space
 from coredse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -21,9 +23,11 @@ from coredse.trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    _action_hash,
     _adam_ascend,
     _LoopState,
 )
+from heads import sample_one
 
 SMALL_POLICY = PolicyConfig(input_width=16, hidden_width=32)
 
@@ -51,6 +55,16 @@ def failing_problem() -> Problem:
         space,
         decode=lambda raw: raw,
         evaluate=lambda d: EvalOutcome.failed("no such design"),
+    )
+
+
+def mixed_problem() -> Problem:
+    """Ten ranged parameters, a categorical one, then one more ranged: a long
+    run of Beta heads and a single Beta head after a categorical head."""
+    ranged = tuple(ParamSpec(f"v{i}", Ranged(0, 15)) for i in range(10))
+    space = ParameterSpace(ranged + (ParamSpec("c", Categorical(3)), ParamSpec("w", Ranged(0, 15))))
+    return Problem(
+        "mixed", space, decode=lambda raw: raw, evaluate=lambda d: EvalOutcome.ok((float(np.sum(d)),))
     )
 
 
@@ -313,6 +327,69 @@ def test_resume_matches_straight_run(tmp_path):
         assert np.array_equal(wa, wb)
     assert r2.best.reward == straight.best.reward
     assert r2.best_feasible.objective == straight.best_feasible.objective
+
+
+def test_each_row_is_the_reference_draw_of_its_slot_generator(monkeypatch):
+    # Row `slot` of episode `ep` is the one-parameter-at-a-time draw from
+    # default_rng([seed, ep, slot]) under that episode's policy.
+    policies = []
+    forward = trainer_module.forward_cached
+
+    def recording_forward(*args):
+        dists, cache = forward(*args)
+        policies.append(dists)
+        return dists, cache
+
+    monkeypatch.setattr(trainer_module, "forward_cached", recording_forward)
+    cfg = line_cfg(seed=4, max_episodes=6)
+    res = train(mixed_problem(), cfg)
+    assert len(policies) == len(res.history) == 6
+    for ep, (dists, report) in enumerate(zip(policies, res.history)):
+        rngs = [np.random.default_rng([cfg.seed, ep, slot]) for slot in range(cfg.batch_size)]
+        want = [sample_one(dists, rng) for rng in rngs]
+        assert report.action_hashes == tuple(_action_hash(raw) for raw in want)
+
+
+def test_resumed_run_draws_the_straight_runs_matrices(tmp_path, monkeypatch):
+    drawn = []
+    draw = trainer_module.sample
+
+    def recording_sample(dists, rngs):
+        drawn.append(draw(dists, rngs))
+        return drawn[-1]
+
+    monkeypatch.setattr(trainer_module, "sample", recording_sample)
+    p = mixed_problem()
+    full = line_cfg(max_episodes=8, sample_budget=64)
+    train(p, full)
+    straight = list(drawn)
+    drawn.clear()
+    r1 = train(p, dataclasses.replace(full, sample_budget=32))
+    save_checkpoint(tmp_path / "ck.npz", r1.state)
+    train(p, full, state=load_checkpoint(tmp_path / "ck.npz", p), history=r1.history)
+    assert len(drawn) == len(straight) == 8
+    assert all(a.shape == (8, 12) and a.tobytes() == b.tobytes() for a, b in zip(drawn, straight))
+
+
+@pytest.mark.parametrize(
+    "policy, problem",
+    [
+        (PolicyConfig(input_width=16, hidden_width=8), toy_line_problem),
+        (PolicyConfig(input_width=8, hidden_width=32), toy_line_problem),
+        (SMALL_POLICY, mixed_problem),
+    ],
+    ids=["hidden-width", "input-width", "head-outputs"],
+)
+def test_train_refuses_a_state_of_other_shapes(policy, problem):
+    first = train(toy_line_problem(), line_cfg(max_episodes=2))
+    saved = [(32, 16), (32, 32), (32, 32), (2, 32)]  # SMALL_POLICY on one Beta head
+    p = problem()
+    h, out = policy.hidden_width, layout_for_space(p.space).out_width
+    want = [(h, policy.input_width), (h, h), (h, h), (out, h)]
+    state = first.state
+    with pytest.raises(ValueError, match=re.escape(str(saved)) + ".*" + re.escape(str(want))):
+        train(p, line_cfg(policy=policy, max_episodes=4), state=state)
+    assert state.episode == 2 and len(state.history) == 2  # refused before the state was touched
 
 
 def test_resumed_best_that_meets_the_target_stops_after_one_episode(tmp_path):
