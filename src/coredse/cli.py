@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .baselines import ga_run, random_search
@@ -41,16 +43,17 @@ HISTORY_COLUMNS = (
     "best_reward",
 )
 
-_TRAIN_KEYS = (
-    "batch_size",
-    "max_episodes",
-    "sample_budget",
-    "target_objective",
-    "learning_rate",
-    "seed",
-)
-_GA_KEYS = ("pop_size", "tournament_k", "crossover_rate", "mutation_rate", "mutation_sigma", "elitism")
-_TOP_KEYS = ("workload", "platform", "method", "space", "cost", "reward", "policy", "train", "ga")
+# Config section -> the class it builds: the section's keys are the class's
+# fields, and its defaults are those of cls().
+SECTIONS = {"space": SpaceOptions, "cost": CostConstants, "reward": RewardConfig, "policy": PolicyConfig}
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in SECTIONS)
+# ga_run's keyword arguments, less those cmd_run takes from the problem, the
+# reward section and the train section.
+GA_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(ga_run).parameters.items()
+    if name not in ("problem", "cfg", "generations", "seed")
+}
 
 
 class CliError(Exception):
@@ -63,33 +66,30 @@ def default_config() -> dict:
         "workload": "workload.txt",
         "platform": "edge",
         "method": "core",
-        "space": asdict(SpaceOptions()),
-        "cost": asdict(CostConstants()),
-        "reward": asdict(RewardConfig()),
-        "policy": asdict(PolicyConfig()),
+        **{name: asdict(cls()) for name, cls in SECTIONS.items()},
         "train": {k: getattr(t, k) for k in _TRAIN_KEYS},
-        "ga": {
-            "pop_size": 32,
-            "tournament_k": 3,
-            "crossover_rate": 0.9,
-            "mutation_rate": 0.1,
-            "mutation_sigma": 0.1,
-            "elitism": 1,
-        },
+        "ga": dict(GA_DEFAULTS),
     }
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise CliError(f"config section {section!r}: unknown key(s) {', '.join(unknown)}")
-
-
-def _section(config: dict, name: str) -> dict:
-    part = config.get(name, {})
+def _section(name: str, part, build, keys):
+    """``build(**part)``, after refusing a non-object ``part`` and keys outside
+    ``keys``. JSON lists become tuples, and a ValueError or TypeError from
+    ``build`` becomes a CliError that names the section."""
     if not isinstance(part, dict):
         raise CliError(f"config section {name!r} must be an object")
-    return part
+    unknown = sorted(set(part) - set(keys))
+    if unknown:
+        raise CliError(f"config section {name!r}: unknown key(s) {', '.join(unknown)}")
+    try:
+        return build(**{k: tuple(v) if isinstance(v, list) else v for k, v in part.items()})
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"config section {name!r}: {exc}") from None
+
+
+def _ga_kwargs(**values) -> dict:
+    """GA_DEFAULTS overridden by ``values``, each cast to its default's type."""
+    return {k: type(d)(values.get(k, d)) for k, d in GA_DEFAULTS.items()}
 
 
 def load_config(path: str) -> dict:
@@ -102,8 +102,7 @@ def load_config(path: str) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CliError("config root must be a JSON object")
-    _check_keys("top level", data, _TOP_KEYS)
-    return data
+    return _section("top level", data, dict, default_config())
 
 
 class Setup:
@@ -125,36 +124,20 @@ class Setup:
         self.workload = parse_workload(wl_path)
 
         self.platform = platform_by_name(config.get("platform", "edge"))
-        try:
-            self.options = SpaceOptions.from_dict(_section(config, "space"))
-        except Exception as exc:
-            raise CliError(str(exc)) from None
-
-        cost = _section(config, "cost")
-        _check_keys("cost", cost, [f.name for f in fields(CostConstants)])
-        self.consts = CostConstants(**cost)
-
-        rw = dict(_section(config, "reward"))
-        _check_keys("reward", rw, [f.name for f in fields(RewardConfig)])
-        if "weights" in rw:
-            rw["weights"] = tuple(rw["weights"])
-        self.reward = RewardConfig(**rw)
+        built = {
+            name: _section(name, config.get(name, {}), cls, [f.name for f in fields(cls)])
+            for name, cls in SECTIONS.items()
+        }
+        self.options, self.consts, self.policy = built["space"], built["cost"], built["policy"]
+        self.reward = built["reward"]
         if self.method == "core-no-shaping":
             self.reward = replace(self.reward, shaping=False)
 
-        pol = _section(config, "policy")
-        _check_keys("policy", pol, [f.name for f in fields(PolicyConfig)])
-        self.policy = PolicyConfig(**pol)
-
-        tr = dict(_section(config, "train"))
-        _check_keys("train", tr, _TRAIN_KEYS)
+        train = partial(TrainConfig, reward=self.reward, policy=self.policy)
+        self.train_cfg = _section("train", config.get("train", {}), train, _TRAIN_KEYS)
         if seed is not None:
-            tr["seed"] = seed
-        self.train_cfg = TrainConfig(reward=self.reward, policy=self.policy, **tr)
-
-        ga = _section(config, "ga")
-        _check_keys("ga", ga, _GA_KEYS)
-        self.ga = {**default_config()["ga"], **ga}
+            self.train_cfg = replace(self.train_cfg, seed=seed)
+        self.ga = _section("ga", config.get("ga", {}), _ga_kwargs, GA_DEFAULTS)
 
     def problem(self):
         return accelerator_problem(
@@ -214,22 +197,11 @@ def cmd_run(args) -> int:
         result = train(problem, tcfg)
         save_params(result.params, out / "policy.bin")
     elif setup.method == "ga":
-        pop = int(setup.ga["pop_size"])
+        pop = setup.ga["pop_size"]
         generations = tcfg.sample_budget // pop - 1
         if generations < 0:
             raise CliError(f"sample_budget {tcfg.sample_budget} below one population of {pop}")
-        result = ga_run(
-            problem,
-            setup.reward,
-            pop_size=pop,
-            generations=generations,
-            seed=tcfg.seed,
-            tournament_k=int(setup.ga["tournament_k"]),
-            crossover_rate=float(setup.ga["crossover_rate"]),
-            mutation_rate=float(setup.ga["mutation_rate"]),
-            mutation_sigma=float(setup.ga["mutation_sigma"]),
-            elitism=int(setup.ga["elitism"]),
-        )
+        result = ga_run(problem, setup.reward, generations=generations, seed=tcfg.seed, **setup.ga)
     else:
         result = random_search(problem, setup.reward, budget=tcfg.sample_budget, seed=tcfg.seed)
 
@@ -394,10 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (CliError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

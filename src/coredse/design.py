@@ -28,7 +28,6 @@ from .space import (
     SortKey,
     decode_values,
     enumerate_values,
-    space_cardinality,
 )
 
 # Canonical dimension order; sort-key slots and tile tuples follow it.
@@ -296,20 +295,6 @@ class SpaceOptions:
     fixed_parallel_dim: str = "K"
     fixed_parallelism: int = 1
 
-    @staticmethod
-    def from_dict(data: dict) -> "SpaceOptions":
-        kwargs = dict(data)
-        for key in ("tile_dims", "fixed_order"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("n_pe", "l1_bytes", "l2_bytes"):
-            if key in kwargs and not isinstance(kwargs[key], int):
-                kwargs[key] = tuple(kwargs[key])
-        unknown = set(kwargs) - set(SpaceOptions.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(f"space: unknown option(s) {sorted(unknown)}")
-        return SpaceOptions(**kwargs)
-
 
 class CoDesignSpace:
     """Parameter space for one workload plus the decode plan into DesignConfig."""
@@ -502,9 +487,6 @@ class CoDesignSpace:
         )
 
     # -- enumeration -------------------------------------------------------
-
-    def cardinality(self, limit: int | None = None):
-        return space_cardinality(self.space, limit=limit)
 
     def enumerate_configs(self):
         for values in enumerate_values(self.space):

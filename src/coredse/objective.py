@@ -181,25 +181,22 @@ def _stack_batch(dists: DistributionSet, raws, advs):
     return policy.stack_actions(dists.layout, raws), advs
 
 
-def _objective(dists: DistributionSet, batch, advs, beta_e: float) -> float:
+def surrogate_objective(dists: DistributionSet, raws, advs, beta_e: float) -> float:
+    """mean(adv * log pi(a)) + beta_e * H(pi) over a non-empty (E, n) raw action matrix."""
+    batch, advs = _stack_batch(dists, raws, advs)
     return float(policy.log_probs(dists, batch) @ advs) / advs.size + beta_e * policy.entropy(dists)
 
 
-def surrogate_objective(dists: DistributionSet, raws, advs, beta_e: float) -> float:
-    """mean(adv * log pi(a)) + beta_e * H(pi) over a non-empty (E, n) raw action matrix."""
-    return _objective(dists, *_stack_batch(dists, raws, advs), beta_e)
-
-
 def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
-    """Value and closed-form gradients wrt head parameters, over an (E, n) raw action matrix.
+    """Closed-form gradients of `surrogate_objective` wrt head parameters, over
+    an (E, n) raw action matrix.
 
-    Returns (value, d_alpha, d_beta, d_logits) where d_logits is one array
-    per categorical head, already chained through the softmax.
+    Returns (d_alpha, d_beta, d_logits) where d_logits is one array per
+    categorical head, already chained through the softmax.
     """
     batch, advs = _stack_batch(dists, raws, advs)
     E = advs.size
     coef = advs / E
-    value = _objective(dists, batch, advs, beta_e)
 
     # Score terms, d log Beta(x; a, b) / da = log x - psi(a) + psi(a + b),
     # plus the entropy bonus's trigamma terms.
@@ -221,4 +218,4 @@ def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
         h_head = -float(np.sum(p * lp))
         d_logits.append(g.sum(axis=0) + beta_e * p * (-lp - h_head))
 
-    return value, d_alpha, d_beta, d_logits
+    return d_alpha, d_beta, d_logits

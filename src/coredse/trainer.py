@@ -437,7 +437,7 @@ def train(
             break
 
         advs = advantages(shaped, state.running)
-        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, raws, advs, beta_e)
+        d_alpha, d_beta, d_logits = surrogate_gradients(dists, raws, advs, beta_e)
         g_out = head_backward(dists, d_alpha, d_beta, d_logits)
         factors = mlp_backward(state.params, cache, g_out)
         _adam_ascend(state, factors, cfg.learning_rate)

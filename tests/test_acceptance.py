@@ -165,7 +165,7 @@ def test_gate2_gradient_check(capsys):
         acts = sample(dists, [np.random.default_rng([seed, k]) for k in range(3)])
         advs = np.random.default_rng([seed, 77]).normal(size=len(acts))
 
-        _, d_alpha, d_beta, d_logits = surrogate_gradients(dists, acts, advs, beta_e)
+        d_alpha, d_beta, d_logits = surrogate_gradients(dists, acts, advs, beta_e)
         factors = mlp_backward(params, cache, head_backward(dists, d_alpha, d_beta, d_logits))
         analytic = [g for delta, h in factors for g in (np.outer(delta, h), delta)]
 

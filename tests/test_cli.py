@@ -1,15 +1,19 @@
 import csv
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from coredse.cli import main
-from coredse.costmodel import CLOUD, simulate
+from coredse.baselines import ga_run
+from coredse.cli import Setup, load_config, main
+from coredse.costmodel import CLOUD, CostConstants, simulate
+from coredse.design import SpaceOptions
 from coredse.policy import CHECKPOINT_MAGIC, load_params
 from coredse.problems import enumerate_designs
-from coredse.objective import raw_objective
+from coredse.objective import RewardConfig, raw_objective
+from coredse.trainer import PolicyConfig, TrainConfig
 
 
 def write_setup(tmp_path, method="random", space=None, train=None, reward=None, extra=None):
@@ -110,10 +114,69 @@ def test_unknown_top_level_key(tmp_path, capsys):
 
 
 def test_unknown_section_key_names_the_section(tmp_path, capsys):
-    path = write_setup(tmp_path, reward={"weights": [-1.0, 0.0], "alpha_q": 1.0})
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "'reward'" in err and "alpha_q" in err
+    for section, key, kw in (
+        ("'reward'", "alpha_q", dict(reward={"weights": [-1.0, 0.0], "alpha_q": 1.0})),
+        ("'space'", "bogus", dict(space={"n_pe": 8, "bogus": 1})),
+        ("'ga'", "pop", dict(method="ga", extra={"ga": {"pop_size": 8, "pop": 8}})),
+    ):
+        path = write_setup(tmp_path, **kw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and section in err and key in err
+
+
+def test_a_value_its_class_refuses_names_the_section(tmp_path, capsys):
+    for section, message, kw in (
+        ("'train'", "batch_size must be >= 1", dict(train={"batch_size": 0})),
+        ("'policy'", "policy widths must be positive", dict(extra={"policy": {"input_width": 0}})),
+        ("'ga'", "invalid literal for int()", dict(method="ga", extra={"ga": {"pop_size": "many"}})),
+    ):
+        path = write_setup(tmp_path, **kw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and section in err and message in err
+
+
+def test_defaults_build_the_library_defaults(tmp_path, capsys):
+    # Every section of the printed defaults, read back through JSON, builds
+    # the object its class or ga_run would use without a config.
+    assert main(["defaults"]) == 0
+    (tmp_path / "workload.txt").write_text("4 4 4 4 1 1\n")
+    path = tmp_path / "config.json"
+    path.write_text(capsys.readouterr().out)
+    setup = Setup(load_config(str(path)), tmp_path, None)
+    assert setup.options == SpaceOptions()
+    assert setup.consts == CostConstants()
+    assert setup.reward == RewardConfig()
+    assert setup.policy == PolicyConfig()
+    assert setup.train_cfg == TrainConfig()
+    ga_defaults = dict(
+        pop_size=32, tournament_k=3, crossover_rate=0.9, mutation_rate=0.1, mutation_sigma=0.1, elitism=1
+    )
+    assert setup.ga == ga_defaults
+    params = inspect.signature(ga_run).parameters
+    assert all(params[k].default == v for k, v in ga_defaults.items())
+
+
+def test_space_lists_become_tuples(tmp_path):
+    path = write_setup(tmp_path, space={"n_pe": [2, 8, 2], "tile_dims": ["K", "C"], "vary_level1": False})
+    setup = Setup(load_config(str(path)), tmp_path, None)
+    assert setup.options == SpaceOptions(n_pe=(2, 8, 2), tile_dims=("K", "C"), vary_level1=False)
+
+
+def test_ga_values_are_cast_to_the_defaults_types(tmp_path):
+    typed = {"pop_size": 8, "tournament_k": 2, "mutation_rate": 0.25, "elitism": 2}
+    loose = {"pop_size": "8", "tournament_k": 2.0, "mutation_rate": "0.25", "elitism": 2.0}
+    runs = []
+    for name, ga in (("typed", typed), ("loose", loose)):
+        path = write_setup(tmp_path, method="ga", extra={"ga": ga})
+        setup = Setup(load_config(str(path)), tmp_path, None)
+        assert {k: (v, type(v)) for k, v in setup.ga.items() if k in typed} == {
+            k: (v, type(v)) for k, v in typed.items()
+        }
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        runs.append((tmp_path / name / "history.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_removed_knobs_are_unknown_keys(tmp_path, capsys):
@@ -286,8 +349,6 @@ def test_oracle_agrees_with_library_enumeration(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
     summary = read_summary(out)
-
-    from coredse.cli import Setup, load_config
 
     setup = Setup(load_config(str(path)), tmp_path, None)
     problem = setup.problem()

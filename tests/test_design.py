@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coredse.cli import CliError, Setup
 from coredse.design import (
     DIMS,
     CoDesignSpace,
@@ -12,7 +13,7 @@ from coredse.design import (
     parse_workload,
     validate_config,
 )
-from coredse.space import ConfigurationError
+from coredse.space import ConfigurationError, space_cardinality
 
 
 def small_workload():
@@ -189,18 +190,12 @@ def test_fixed_npe_still_caps_parallelism():
     assert validate_config(config, cd.workload) == []
 
 
-def test_unknown_space_option_rejected():
-    with pytest.raises(ConfigurationError):
-        SpaceOptions.from_dict({"n_pe": 8, "bogus": 1})
-
-
-def test_options_from_dict_roundtrip():
-    opt = SpaceOptions.from_dict(
-        {"n_pe": [2, 8, 2], "tile_dims": ["K", "C"], "vary_level1": False}
-    )
-    assert opt.n_pe == (2, 8, 2)
-    assert opt.tile_dims == ("K", "C")
-    assert not opt.vary_level1
+def test_unknown_space_option_rejected(tmp_path):
+    # SpaceOptions are read from a config's "space" section, which refuses unknown keys.
+    (tmp_path / "wl.txt").write_text("8 4 4 4 3 3\n")
+    config = {"workload": "wl.txt", "space": {"n_pe": 8, "bogus": 1}}
+    with pytest.raises(CliError, match="'space'.*bogus"):
+        Setup(config, tmp_path, None)
 
 
 def test_bad_fixed_order_rejected():
@@ -232,7 +227,7 @@ def test_cardinality_counts_fixed_space():
         vary_level1=False,
         tile_dims=("K",),
     )
-    assert cd.cardinality() == 8
+    assert space_cardinality(cd.space) == 8
     configs = list(cd.enumerate_configs())
     assert len(configs) == 8
     assert sorted(c.mappings[0][1].tiles[2] for c in configs) == list(range(1, 9))
