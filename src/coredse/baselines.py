@@ -20,6 +20,7 @@ from .trainer import SearchLog, evaluate_batch
 __all__ = [
     "BaselineResult",
     "genome_to_raw",
+    "check_ga_args",
     "ga_run",
     "random_search",
 ]
@@ -49,7 +50,7 @@ def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
 
 def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, genomes) -> np.ndarray:
     """Score a batch of genomes by the shaped reward and record it as the result's next batch."""
-    raws = genome_to_raw(problem.space, np.stack(genomes))
+    raws = genome_to_raw(problem.space, genomes)
     results = evaluate_batch(problem, raws)
     fitness = np.array([cfg.r_ano if o.anomalous else scalar_reward(o, cfg) for _, o in results])
     result.record(len(result.history), raws, results, fitness, cfg.weights, np.nan, np.nan)
@@ -59,6 +60,14 @@ def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, ge
 def _tournament(rng: np.random.Generator, fitness: np.ndarray, k: int) -> int:
     picks = rng.integers(0, len(fitness), size=k)
     return int(picks[np.argmax(fitness[picks])])
+
+
+def check_ga_args(pop_size: int, generations: int = 0) -> None:
+    """ValueError unless `ga_run` can breed pop_size designs for generations rounds."""
+    if pop_size < 2:
+        raise ValueError("pop_size must be >= 2")
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
 
 
 def ga_run(
@@ -74,10 +83,7 @@ def ga_run(
     elitism: int = 1,
 ) -> BaselineResult:
     """Generational GA; consumes exactly pop_size * (generations + 1) evaluations."""
-    if pop_size < 2:
-        raise ValueError("pop_size must be >= 2")
-    if generations < 0:
-        raise ValueError("generations must be >= 0")
+    check_ga_args(pop_size, generations)
     n = problem.n_raw
     rng = np.random.default_rng([seed])
     result = BaselineResult(method="ga")
@@ -111,15 +117,14 @@ def random_search(
     budget: int = 1024,
     seed: int = 0,
 ) -> BaselineResult:
-    """Uniform sampling in batches of RANDOM_BATCH; sample i draws from
-    default_rng([seed, i]), so the first N evaluations of a longer run
-    coincide with a budget-N run."""
+    """Uniform sampling in batches of RANDOM_BATCH from one generator,
+    default_rng([seed]), read a genome a row in order, so the first N
+    evaluations of a longer run coincide with a budget-N run."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    n = problem.n_raw
+    rng = np.random.default_rng([seed])
     result = BaselineResult(method="random")
     for start in range(0, budget, RANDOM_BATCH):
         stop = min(start + RANDOM_BATCH, budget)
-        genomes = [np.random.default_rng([seed, i]).random(n) for i in range(start, stop)]
-        _score_batch(result, problem, cfg, genomes)
+        _score_batch(result, problem, cfg, rng.random((stop - start, problem.n_raw)))
     return result

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .baselines import ga_run, random_search
+from .baselines import check_ga_args, ga_run, random_search
 from .costmodel import CostConstants, platform_by_name
 from .design import SpaceOptions, parse_workload
 from .objective import RewardConfig, raw_objective
@@ -88,8 +88,11 @@ def _section(name: str, part, build, keys):
 
 
 def _ga_kwargs(**values) -> dict:
-    """GA_DEFAULTS overridden by ``values``, each cast to its default's type."""
-    return {k: type(d)(values.get(k, d)) for k, d in GA_DEFAULTS.items()}
+    """GA_DEFAULTS overridden by ``values``, each cast to its default's type,
+    after `ga_run`'s own argument check."""
+    kwargs = {k: type(d)(values.get(k, d)) for k, d in GA_DEFAULTS.items()}
+    check_ga_args(kwargs["pop_size"])
+    return kwargs
 
 
 def load_config(path: str) -> dict:

@@ -10,12 +10,9 @@ Gradients are computed in closed form (digamma/trigamma terms for the
 Beta heads) and pushed through the MLP by hand-written reverse mode;
 there is no autodiff anywhere.
 
-`sample` draws a whole batch, one row per generator, and each row uses its
-generator exactly as drawing one parameter at a time in declaration order
-would (`Generator.beta` for a Beta head, one `random()` for a categorical
-head). A row's values therefore depend only on its generator and the
-distributions, never on the batch size or on the other rows, which is what
-the trainer's per-(seed, episode, slot) determinism contract needs.
+`sample` draws a batch of i.i.d. actions from one generator, with one
+`Generator.beta` call for all the Beta heads of the batch and one `random`
+call for all its categorical heads.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,9 +56,6 @@ __all__ = [
 ]
 
 RAW_CLIP = 1e-6
-# Shortest run of Beta heads that `sample` draws with one standard_gamma call: an
-# array call's fixed cost is about that of seven scalar `beta` calls.
-GAMMA_RUN_MIN = 8
 CHECKPOINT_MAGIC = b"COREPOL1"
 
 
@@ -87,9 +80,6 @@ class HeadLayout:
     out_width: int
     cat_sizes: np.ndarray  # k of each categorical head, in head order
     cat_flat_off: np.ndarray  # start of each categorical head in DistributionSet.flat_probs
-    # ("beta", h0, h1) for each maximal run of consecutive Beta heads h0..h1-1, and
-    # ("cat", i, i + 1) for each categorical parameter i, in declaration order; see `sample`
-    draw_runs: tuple[tuple[str, int, int], ...]
 
     @property
     def n_params(self) -> int:
@@ -101,20 +91,14 @@ class HeadLayout:
 
 
 def _make_layout(kinds: list[str], cat_k: list[int]) -> HeadLayout:
-    beta_params, cat_params, beta_off, cat_off, draw_runs = [], [], [], [], []
+    beta_params, cat_params, beta_off, cat_off = [], [], [], []
     off = 0
     for i, kind in enumerate(kinds):
         if kind == "beta":
-            h = len(beta_params)
-            if draw_runs and draw_runs[-1][0] == "beta":
-                draw_runs[-1] = ("beta", draw_runs[-1][1], h + 1)
-            else:
-                draw_runs.append(("beta", h, h + 1))
             beta_params.append(i)
             beta_off.append(off)
             off += 2
         else:
-            draw_runs.append(("cat", i, i + 1))
             cat_params.append(i)
             cat_off.append(off)
             off += cat_k[i]
@@ -129,7 +113,6 @@ def _make_layout(kinds: list[str], cat_k: list[int]) -> HeadLayout:
         out_width=off,
         cat_sizes=cat_sizes,
         cat_flat_off=np.cumsum(cat_sizes) - cat_sizes,
-        draw_runs=tuple(draw_runs),
     )
 
 
@@ -294,66 +277,22 @@ def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarra
     return g
 
 
-def _draw_calls(dists: DistributionSet) -> list[tuple]:
-    """The generator calls that draw one row under `dists`, in draw order, as (method, args, columns).
+def sample(dists: DistributionSet, rng: Generator, n: int) -> np.ndarray:
+    """Draw n i.i.d. actions from rng as an (n, n_params) raw matrix.
 
-    A run of at least GAMMA_RUN_MIN Beta heads takes one `standard_gamma`
-    call on the interleaved shapes (a0, b0, a1, b1, ...), from which
-    x = Ga / (Ga + Gb). That is numpy's `random_beta` operation for
-    operation wherever alpha > 1 or beta > 1. A head with alpha <= 1 and
-    beta <= 1 (numpy then takes Johnk's algorithm), and every head of a
-    shorter run, takes its own `beta` call. A categorical head takes one
-    `random` call.
-    """
-    shapes = np.stack((dists.alphas, dists.betas), axis=1).ravel()
-    johnk = np.flatnonzero((dists.alphas <= 1.0) & (dists.betas <= 1.0)).tolist()
-    alphas, betas = dists.alphas.tolist(), dists.betas.tolist()
-    cols = dists.layout.beta_params.tolist()
-    calls = []
-
-    def beta_calls(h0: int, h1: int) -> None:
-        if h1 - h0 >= GAMMA_RUN_MIN:
-            run = slice(cols[h0], cols[h0] + h1 - h0)
-            calls.append((Generator.standard_gamma, (shapes[2 * h0 : 2 * h1],), run))
-        else:
-            calls.extend((Generator.beta, (alphas[h], betas[h]), cols[h]) for h in range(h0, h1))
-
-    for kind, lo, hi in dists.layout.draw_runs:
-        if kind == "cat":
-            calls.append((Generator.random, (), lo))
-            continue
-        for h in (h for h in johnk if lo <= h < hi):
-            beta_calls(lo, h)
-            calls.append((Generator.beta, (alphas[h], betas[h]), cols[h]))
-            lo = h + 1
-        beta_calls(lo, hi)
-    return calls
-
-
-def sample(dists: DistributionSet, rngs: Sequence[Generator]) -> np.ndarray:
-    """Draw a (len(rngs), n_params) raw matrix, row k from generator rngs[k].
-
-    Beta draws are clipped into [RAW_CLIP, 1 - RAW_CLIP]; category indices
-    are stored as floats. Each row consumes its generator exactly as one
-    draw per parameter in declaration order would: `Generator.beta` for a
-    Beta head, and for a categorical head one `random()` mapped through the
-    inverse CDF. Rows are drawn one after another, so `[rng] * n` gives n
-    successive draws from one generator. The generator calls are grouped
-    into runs (see `_draw_calls`), and clipping and the inverse CDF run
-    once over the whole batch.
+    Beta draws are clipped into [RAW_CLIP, 1 - RAW_CLIP]; a categorical head
+    maps one uniform through its inverse CDF, and its index is stored as a
+    float. The batch takes one `beta` call of shape (n, n_beta), then one
+    `random` call of shape (n, n_cat), so a row's values depend on n as
+    well as on the generator's state: n one-row draws give other rows.
     """
     layout = dists.layout
-    calls = _draw_calls(dists)
-    rows = [[method(rng, *args) for method, args, _ in calls] for rng in rngs]
-    raw = np.empty((len(rows), layout.n_params))
-    for (method, _, cols), drawn in zip(calls, zip(*rows)):
-        values = np.array(drawn)
-        if method is Generator.standard_gamma:
-            values = values[:, 0::2] / (values[:, 0::2] + values[:, 1::2])
-        raw[:, cols] = values
-    raw[:, layout.beta_params] = np.clip(raw[:, layout.beta_params], RAW_CLIP, 1.0 - RAW_CLIP)
-    for probs, col in zip(dists.cat_probs, layout.cat_params.tolist()):
-        index = np.searchsorted(np.cumsum(probs), raw[:, col], side="right")
+    raw = np.empty((n, layout.n_params))
+    x = rng.beta(dists.alphas, dists.betas, size=(n, layout.n_beta))
+    raw[:, layout.beta_params] = np.clip(x, RAW_CLIP, 1.0 - RAW_CLIP)
+    u = rng.random((n, len(layout.cat_params)))
+    for j, (probs, col) in enumerate(zip(dists.cat_probs, layout.cat_params.tolist())):
+        index = np.searchsorted(np.cumsum(probs), u[:, j], side="right")
         raw[:, col] = np.minimum(index, len(probs) - 1)
     return raw
 

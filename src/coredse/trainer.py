@@ -8,12 +8,12 @@ A batch is one (B, n) raw matrix, one action a row, from the draw to the
 history: the same matrix is evaluated, scored by the surrogate and
 recorded, and an `EpisodeReport` holds the batch's per-design arrays.
 Determinism contract: results are byte-identical across reruns, because
-each sample's randomness comes from a generator seeded by (seed, episode,
-slot) rather than from shared stream state. An episode builds its batch's
-generators and makes one `sample` call; row `slot` depends only on its own
-generator and the episode's policy, so a resumed run draws what a straight
-run draws. `sample` must stay a name in this module's globals: perfbench
-wraps `trainer.sample` for its sampling span.
+each episode's batch comes from a generator seeded by (seed, episode)
+rather than from shared stream state. An episode builds that generator and
+makes one `sample` call, so its batch depends only on the seed, the episode
+number, the batch size and the episode's policy, and a resumed run draws
+what a straight run draws. `sample` must stay a name in this module's
+globals: perfbench wraps `trainer.sample` for its sampling span.
 
 A batch is decoded and evaluated by `evaluate_batch`, through the
 problem's array path where it has one. Its body is `_decode_and_eval`,
@@ -420,7 +420,7 @@ def train(
         beta_e = entropy_coefficient(ep, cfg)
 
         dists, cache = forward_cached(state.params, context, layout)
-        raws = sample(dists, [np.random.default_rng([cfg.seed, ep, slot]) for slot in range(cfg.batch_size)])
+        raws = sample(dists, np.random.default_rng([cfg.seed, ep]), cfg.batch_size)
 
         results = evaluate_batch(problem, raws)
         outcomes = [outcome for _, outcome in results]

@@ -1,10 +1,10 @@
 """Test helpers: a DistributionSet built straight from head parameters, and
-the one-action-at-a-time references that `policy.sample` and
-`policy.log_probs` are checked against."""
+the one-action-at-a-time reference that `policy.log_probs` is checked
+against."""
 
 import numpy as np
 
-from coredse.policy import RAW_CLIP, DistributionSet, DomainError, _make_layout
+from coredse.policy import DistributionSet, DomainError, _make_layout
 from coredse.space import ShapeError
 
 
@@ -30,28 +30,6 @@ def dists_from_heads(heads) -> DistributionSet:
         betas=np.asarray(betas, dtype=float),
         cat_probs=tuple(cats),
     )
-
-
-def sample_one(dists: DistributionSet, rng: np.random.Generator) -> np.ndarray:
-    """One raw action, one draw per parameter in declaration order: a Beta
-    head through `rng.beta`, a categorical head by inverse CDF of one
-    `rng.random()`. Beta draws are clipped into [RAW_CLIP, 1 - RAW_CLIP]."""
-    layout = dists.layout
-    raw = np.empty(layout.n_params)
-    bi = 0
-    ci = 0
-    for i, kind in enumerate(layout.kinds):
-        if kind == "beta":
-            x = rng.beta(dists.alphas[bi], dists.betas[bi])
-            raw[i] = min(max(x, RAW_CLIP), 1.0 - RAW_CLIP)
-            bi += 1
-        else:
-            u = rng.random()
-            cum = np.cumsum(dists.cat_probs[ci])
-            idx = int(np.searchsorted(cum, u, side="right"))
-            raw[i] = min(idx, layout.cat_k[i] - 1)
-            ci += 1
-    return raw
 
 
 def log_prob(dists: DistributionSet, raw: np.ndarray) -> float:

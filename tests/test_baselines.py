@@ -162,7 +162,7 @@ def test_random_search_budget_and_chunking():
 
 
 def test_random_search_prefix_property():
-    # sample i depends only on (seed, i): a short run is a prefix of a long one
+    # one generator per search, read a genome a row in order: a short run is a prefix of a long one
     small = random_search(toy_line_problem(), CFG, budget=40, seed=4)
     large = random_search(toy_line_problem(), CFG, budget=100, seed=4)
     small_rows = [

@@ -308,6 +308,14 @@ def test_ga_run_rejects_budget_below_one_population(tmp_path, capsys):
     assert "below one population" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pop_size", [0, -5])
+def test_ga_pop_size_below_two_is_a_config_error(tmp_path, capsys, pop_size):
+    path = write_setup(tmp_path, method="ga", extra={"ga": {"pop_size": pop_size}})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config section 'ga': pop_size must be >= 2\n"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -257,7 +257,7 @@ def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
     for seed in range(5):
         rng = np.random.default_rng([seed])
         dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-        actions = sample(dists, [rng] * 16)
+        actions = sample(dists, rng, 16)
         advs = rng.normal(scale=10.0, size=16)
         beta_e = float(rng.uniform(0.0, 1.0))
         ref_value, *ref = ratio_kl_surrogate_gradients(dists, dists, actions, advs, 3.0, beta_e)
@@ -336,7 +336,7 @@ def test_batched_log_probs_match_scalar_log_prob():
     layout = layout_for_space(mixed_space())
     rng = np.random.default_rng(5)
     dists = heads_from_raw(rng.normal(scale=2.0, size=layout.out_width), layout)
-    actions = sample(dists, [rng] * 24)
+    actions = sample(dists, rng, 24)
 
     want = np.array([log_prob(dists, a) for a in actions])
     got = log_probs(dists, stack_actions(layout, actions))

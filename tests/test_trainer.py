@@ -9,7 +9,7 @@ from coredse.baselines import ga_run
 from coredse.objective import EvalOutcome, RewardConfig, Violation
 from coredse.problems import Problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
-from coredse.policy import PolicyParams, layout_for_space
+from coredse.policy import PolicyParams, layout_for_space, sample
 from coredse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -27,7 +27,6 @@ from coredse.trainer import (
     _adam_ascend,
     _LoopState,
 )
-from heads import sample_one
 
 SMALL_POLICY = PolicyConfig(input_width=16, hidden_width=32)
 
@@ -59,8 +58,8 @@ def failing_problem() -> Problem:
 
 
 def mixed_problem() -> Problem:
-    """Ten ranged parameters, a categorical one, then one more ranged: a long
-    run of Beta heads and a single Beta head after a categorical head."""
+    """Ten ranged parameters, a categorical one, then one more ranged: Beta
+    heads on both sides of a categorical head."""
     ranged = tuple(ParamSpec(f"v{i}", Ranged(0, 15)) for i in range(10))
     space = ParameterSpace(ranged + (ParamSpec("c", Categorical(3)), ParamSpec("w", Ranged(0, 15))))
     return Problem(
@@ -329,9 +328,9 @@ def test_resume_matches_straight_run(tmp_path):
     assert r2.best_feasible.objective == straight.best_feasible.objective
 
 
-def test_each_row_is_the_reference_draw_of_its_slot_generator(monkeypatch):
-    # Row `slot` of episode `ep` is the one-parameter-at-a-time draw from
-    # default_rng([seed, ep, slot]) under that episode's policy.
+def test_episode_draws_from_its_episode_generator(monkeypatch):
+    # Episode `ep`'s matrix is the batch drawn from default_rng([seed, ep]) under
+    # that episode's policy.
     policies = []
     forward = trainer_module.forward_cached
 
@@ -345,8 +344,7 @@ def test_each_row_is_the_reference_draw_of_its_slot_generator(monkeypatch):
     res = train(mixed_problem(), cfg)
     assert len(policies) == len(res.history) == 6
     for ep, (dists, report) in enumerate(zip(policies, res.history)):
-        rngs = [np.random.default_rng([cfg.seed, ep, slot]) for slot in range(cfg.batch_size)]
-        want = [sample_one(dists, rng) for rng in rngs]
+        want = sample(dists, np.random.default_rng([cfg.seed, ep]), cfg.batch_size)
         assert report.action_hashes == tuple(_action_hash(raw) for raw in want)
 
 
@@ -354,8 +352,8 @@ def test_resumed_run_draws_the_straight_runs_matrices(tmp_path, monkeypatch):
     drawn = []
     draw = trainer_module.sample
 
-    def recording_sample(dists, rngs):
-        drawn.append(draw(dists, rngs))
+    def recording_sample(*args):
+        drawn.append(draw(*args))
         return drawn[-1]
 
     monkeypatch.setattr(trainer_module, "sample", recording_sample)
