@@ -30,12 +30,10 @@ from .objective import (
     RewardConfig,
     Violation,
     advantages,
-    anomalous_reward,
     penalty_reward,
     raw_objective,
     scalar_reward,
     surrogate_objective,
-    update_running,
 )
 from .policy import (
     DistributionSet,

@@ -53,7 +53,7 @@ def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, ge
     raws = genome_to_raw(problem.space, genomes)
     results = evaluate_batch(problem, raws)
     fitness = np.array([cfg.r_ano if o.anomalous else scalar_reward(o, cfg) for _, o in results])
-    result.record(len(result.history), raws, results, fitness, cfg.weights, np.nan, np.nan)
+    result.record(len(result.history), raws, results, fitness, cfg.weights, np.nan)
     return fitness
 
 

@@ -39,7 +39,6 @@ HISTORY_COLUMNS = (
     "reward",
     "valid",
     "violation_sum",
-    "running_reward",
     "best_reward",
 )
 

@@ -2,10 +2,14 @@
 
 Reward shaping: a valid design scores the weighted metric sum minus
 alpha_c times the summed positive constraint residuals.  A design the
-evaluator could not score (anomalous) gets a reward derived from the
-previous batch mean, the running reward, and the current batch mean --
-or the floor value r_ano on the first episode and whenever those means
-are unavailable.
+evaluator could not score (anomalous) is priced within its batch by the
+trainer: it gets the batch's lowest valid reward, or the floor r_ano when
+no design in the batch is valid.
+
+Advantages compare the designs of one batch and nothing else, as the
+paper's surrogate does without a value function: each design's advantage
+is its reward minus the mean reward of the other designs in its batch
+(leave-one-out, as in RLOO).  No baseline is carried between batches.
 
 The surrogate is J = mean(adv * log pi(a)) + beta_e * H(pi): the
 score-function (REINFORCE) objective over the batch plus a decaying
@@ -42,8 +46,6 @@ __all__ = [
     "RewardConfig",
     "scalar_reward",
     "penalty_reward",
-    "anomalous_reward",
-    "update_running",
     "advantages",
     "raw_objective",
     "surrogate_objective",
@@ -98,19 +100,15 @@ class EvalOutcome:
 class RewardConfig:
     weights: tuple[float, ...] = (-1.0, 0.0)  # latency-only objective
     alpha_c: float = 1.0  # constraint penalty rate
-    alpha_p: float = 1.0  # anomalous batch-mean rate
-    alpha_r: float = 0.2  # running-reward EMA rate
     beta_e_start: float = 1.0  # entropy bonus schedule
     beta_e_end: float = 0.02
-    r_ano: float = -1e9  # anomalous floor reward
+    r_ano: float = -1e9  # anomalous floor: batches with no valid design; GA/random fitness
     shaping: bool = True
     no_shaping_penalty: float = -1e9
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("RewardConfig needs at least one metric weight")
-        if not 0.0 <= self.alpha_r <= 1.0:
-            raise ValueError(f"alpha_r must be in [0, 1], got {self.alpha_r}")
 
 
 def _weighted(metrics, weights) -> float:
@@ -135,31 +133,16 @@ def penalty_reward(outcome: EvalOutcome, cfg: RewardConfig) -> float:
     return _weighted(outcome.metrics, cfg.weights)
 
 
-def anomalous_reward(
-    prev_batch_mean: float | None,
-    running_prev: float,
-    cur_batch_mean: float | None,
-    t: int,
-    cfg: RewardConfig,
-) -> float:
-    """Reward for a design the evaluator rejected, at 1-based episode t."""
-    if t < 1:
-        raise ValueError(f"episode index must be >= 1, got {t}")
-    if t == 1 or prev_batch_mean is None or cur_batch_mean is None:
-        return cfg.r_ano
-    return min(prev_batch_mean, running_prev) - cfg.alpha_p * cur_batch_mean
+def advantages(rewards) -> np.ndarray:
+    """Leave-one-out advantages: r_k - mean(r_j, j != k) within one batch.
 
-
-def update_running(running_prev: float, rewards, alpha_r: float) -> float:
-    """EMA step: alpha_r * batch_mean + (1 - alpha_r) * previous."""
-    rewards = np.asarray(rewards, dtype=float)
-    if rewards.size == 0:
-        raise ValueError("cannot update the running reward from an empty batch")
-    return float(alpha_r * rewards.mean() + (1.0 - alpha_r) * running_prev)
-
-
-def advantages(rewards, running: float) -> np.ndarray:
-    return np.asarray(rewards, dtype=float) - running
+    That is B / (B - 1) * (r_k - mean(r)). A batch of one design, or one
+    whose rewards are all equal, gets zero advantage.
+    """
+    r = np.asarray(rewards, dtype=float)
+    if r.size < 2 or np.all(r == r[0]):
+        return np.zeros_like(r)
+    return r.size / (r.size - 1) * (r - r.mean())
 
 
 def raw_objective(outcome: EvalOutcome, weights) -> float:

@@ -4,6 +4,10 @@ Every episode draws a fresh batch of raw actions from the policy
 conditioned on a fixed context, evaluates the decoded designs, shapes
 rewards, and takes exactly one Adam ascent step on the on-policy
 surrogate mean(adv * log pi(a)) + beta_e * H(pi) (see `objective`).
+Rewards and advantages are batch-relative: an anomalous design scores the
+lowest valid reward of its batch, and each design's advantage is its
+reward minus the mean of the rest of its batch, so no reward statistic
+carries from one episode to the next.
 A batch is one (B, n) raw matrix, one action a row, from the draw to the
 history: the same matrix is evaluated, scored by the surrogate and
 recorded, and an `EpisodeReport` holds the batch's per-design arrays.
@@ -25,7 +29,6 @@ never calls it fails.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,12 +38,10 @@ from .objective import (
     EvalOutcome,
     RewardConfig,
     advantages,
-    anomalous_reward,
     penalty_reward,
     raw_objective,
     scalar_reward,
     surrogate_gradients,
-    update_running,
 )
 from .policy import (
     PolicyParams,
@@ -115,7 +116,6 @@ class EpisodeReport:
 
     episode: int
     beta_e: float
-    running_reward: float
     best_reward: float
     rewards: np.ndarray  # (B,) float64
     valid: np.ndarray  # (B,) bool, False where the outcome was anomalous
@@ -154,7 +154,7 @@ class SearchLog:
     best_feasible: BestDesign | None = None
     history: list[EpisodeReport] = field(default_factory=list)
 
-    def record(self, episode: int, raws, results, rewards, weights, beta_e: float, running: float) -> None:
+    def record(self, episode: int, raws, results, rewards, weights, beta_e: float) -> None:
         """Count one scored batch, fold it into the best designs and log it.
 
         `best` is the top reward, `best_feasible` the lowest objective among
@@ -177,7 +177,6 @@ class SearchLog:
             EpisodeReport(
                 episode=episode,
                 beta_e=beta_e,
-                running_reward=running,
                 best_reward=self.best.reward if self.best is not None else float("nan"),
                 rewards=np.asarray(rewards, dtype=float),
                 valid=np.array([not outcome.anomalous for _, outcome in results], dtype=bool),
@@ -197,7 +196,6 @@ class SearchLog:
                     "reward": reward,
                     "valid": int(valid),
                     "violation_sum": violation_sum,
-                    "running_reward": report.running_reward,
                     "best_reward": report.best_reward,
                 }
 
@@ -211,11 +209,13 @@ class TrainResult(SearchLog):
 
 
 def entropy_coefficient(episode: int, cfg: TrainConfig) -> float:
-    """Linear decay across the configured horizon; episode is 0-based."""
+    """Linear decay across the episodes that run, `cfg.episode_count()`;
+    episode is 0-based."""
     r = cfg.reward
-    if cfg.max_episodes <= 1:
+    episodes = cfg.episode_count()
+    if episodes <= 1:
         return r.beta_e_start
-    frac = episode / (cfg.max_episodes - 1)
+    frac = episode / (episodes - 1)
     return r.beta_e_start + (r.beta_e_end - r.beta_e_start) * frac
 
 
@@ -266,13 +266,12 @@ class _LoopState(SearchLog):
     adam_v: list[np.ndarray]
     adam_step: int = 0
     episode: int = 0
-    running: float = 0.0
-    prev_valid_mean: float | None = None
 
 
 def _fresh_state(problem: Problem, cfg: TrainConfig) -> _LoopState:
     layout = layout_for_space(problem.space)
-    rng = np.random.default_rng([cfg.seed])
+    # Not [seed]: seed words are zero-padded, so [seed] would be episode 0's [seed, 0].
+    rng = np.random.default_rng([cfg.seed, 0, 1])
     params = init_params(
         rng, cfg.policy.input_width, cfg.policy.hidden_width, layout.out_width
     )
@@ -348,40 +347,24 @@ def _adam_ascend(state: _LoopState, factors: list[tuple[np.ndarray, np.ndarray]]
             _adam_block(b[rows], m[ib][rows], v[ib][rows], d, s1, s2, lr, c1, c2)
 
 
-def _shaped_reward(
-    outcomes: list[EvalOutcome],
-    cfg: RewardConfig,
-    episode_1b: int,
-    prev_valid_mean: float | None,
-    running_prev: float,
-) -> tuple[np.ndarray, float | None]:
-    """One batch's shaped rewards, and the mean scalar reward of its valid designs.
+def _shaped_reward(outcomes: list[EvalOutcome], cfg: RewardConfig) -> np.ndarray:
+    """One batch's rewards, in slot order.
 
-    The mean is None when no design is valid. It is taken with shaping off
-    too, since the next batch's anomalous reward draws on it.
+    With shaping, a valid design scores `scalar_reward` and an anomalous one
+    the lowest valid reward of its batch, or `cfg.r_ano` when none is valid,
+    so no anomalous design outranks a valid one. Without shaping, every
+    anomalous or violating design scores `cfg.no_shaping_penalty`.
     """
     valid = np.array([not o.anomalous for o in outcomes], dtype=bool)
     kept = [o for o in outcomes if not o.anomalous]
-    scalar = [scalar_reward(o, cfg) for o in kept]
-    cur_valid_mean = float(np.mean(scalar)) if scalar else None
     if cfg.shaping:
-        anomalous = anomalous_reward(prev_valid_mean, running_prev, cur_valid_mean, episode_1b, cfg)
-        rewards = np.full(len(outcomes), anomalous, dtype=float)
-        rewards[valid] = scalar
+        scored = [scalar_reward(o, cfg) for o in kept]
+        rewards = np.full(len(outcomes), min(scored, default=cfg.r_ano), dtype=float)
     else:
+        scored = [penalty_reward(o, cfg) for o in kept]
         rewards = np.full(len(outcomes), cfg.no_shaping_penalty, dtype=float)
-        rewards[valid] = [penalty_reward(o, cfg) for o in kept]
-    return rewards, cur_valid_mean
-
-
-def _target_reached(cfg: TrainConfig, best_feasible: BestDesign | None, outcomes) -> bool:
-    """Whether the best feasible objective, once this batch is recorded, meets the target."""
-    if cfg.target_objective is None:
-        return False
-    objectives = [raw_objective(o, cfg.reward.weights) for o in outcomes if o.feasible]
-    if best_feasible is not None:
-        objectives.append(best_feasible.objective)
-    return min(objectives, default=math.inf) <= cfg.target_objective
+    rewards[valid] = scored
+    return rewards
 
 
 def _check_policy_shapes(params: PolicyParams, policy: PolicyConfig, out_width: int) -> None:
@@ -423,26 +406,20 @@ def train(
         raws = sample(dists, np.random.default_rng([cfg.seed, ep]), cfg.batch_size)
 
         results = evaluate_batch(problem, raws)
-        outcomes = [outcome for _, outcome in results]
-        shaped, cur_valid_mean = _shaped_reward(outcomes, rcfg, ep + 1, state.prev_valid_mean, state.running)
+        shaped = _shaped_reward([outcome for _, outcome in results], rcfg)
+        state.record(ep, raws, results, shaped, rcfg.weights, beta_e)
 
-        hit_target = _target_reached(cfg, state.best_feasible, outcomes)
-        if not hit_target:
-            state.running = update_running(state.running, shaped, rcfg.alpha_r)
-        state.record(ep, raws, results, shaped, rcfg.weights, beta_e, state.running)
-
-        if hit_target:
+        best = state.best_feasible
+        if cfg.target_objective is not None and best is not None and best.objective <= cfg.target_objective:
             state.episode += 1
             status = "target_reached"
             break
 
-        advs = advantages(shaped, state.running)
+        advs = advantages(shaped)
         d_alpha, d_beta, d_logits = surrogate_gradients(dists, raws, advs, beta_e)
         g_out = head_backward(dists, d_alpha, d_beta, d_logits)
         factors = mlp_backward(state.params, cache, g_out)
         _adam_ascend(state, factors, cfg.learning_rate)
-
-        state.prev_valid_mean = cur_valid_mean
         state.episode += 1
 
     return TrainResult(
@@ -468,15 +445,7 @@ def save_checkpoint(path, state: _LoopState) -> None:
         payload[f"m{i}"] = a
     for i, a in enumerate(state.adam_v):
         payload[f"v{i}"] = a
-    payload["scalars"] = np.array(
-        [
-            float(state.adam_step),
-            float(state.episode),
-            state.running,
-            np.nan if state.prev_valid_mean is None else state.prev_valid_mean,
-            float(state.samples_used),
-        ]
-    )
+    payload["scalars"] = np.array([state.adam_step, state.episode, state.samples_used], dtype=float)
     for label, best in (("best", state.best), ("feas", state.best_feasible)):
         if best is not None:
             payload[f"{label}_raw"] = best.raw
@@ -486,8 +455,14 @@ def save_checkpoint(path, state: _LoopState) -> None:
 
 
 def load_checkpoint(path, problem: Problem) -> _LoopState:
-    """Restore a saved state; ValueError if it was saved on another space."""
+    """Restore a saved state; ValueError if it was saved on another space or
+    in another layout."""
     with np.load(path) as data:
+        s = data["scalars"]
+        if s.shape != (3,):
+            raise ValueError(
+                f"checkpoint has {s.size} scalars, expected 3 (adam step, episode, samples used)"
+            )
         n_layers = sum(1 for k in data.files if k.startswith("w"))
         params = PolicyParams(
             weights=[data[f"w{i}"] for i in range(n_layers)],
@@ -501,7 +476,6 @@ def load_checkpoint(path, problem: Problem) -> _LoopState:
             )
         adam_m = [data[f"m{i}"] for i in range(2 * n_layers)]
         adam_v = [data[f"v{i}"] for i in range(2 * n_layers)]
-        s = data["scalars"]
 
         def read_best(label: str) -> BestDesign | None:
             if f"{label}_raw" not in data.files:
@@ -527,9 +501,7 @@ def load_checkpoint(path, problem: Problem) -> _LoopState:
             adam_v=adam_v,
             adam_step=int(s[0]),
             episode=int(s[1]),
-            running=float(s[2]),
-            prev_valid_mean=None if np.isnan(s[3]) else float(s[3]),
-            samples_used=int(s[4]),
+            samples_used=int(s[2]),
             best=read_best("best"),
             best_feasible=read_best("feas"),
         )

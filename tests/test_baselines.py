@@ -162,9 +162,13 @@ def test_random_search_budget_and_chunking():
 
 
 def test_random_search_prefix_property():
-    # one generator per search, read a genome a row in order: a short run is a prefix of a long one
-    small = random_search(toy_line_problem(), CFG, budget=40, seed=4)
-    large = random_search(toy_line_problem(), CFG, budget=100, seed=4)
+    # one generator per search, read a genome a row in order: a short run is a
+    # prefix of a long one. Every one of the four genes moves the reward, so a
+    # batch read a gene a column would show.
+    space = ParameterSpace(tuple(ParamSpec(f"v{i}", Ranged(0, 15)) for i in range(4)))
+    p = Problem("four", space, lambda raw: raw, lambda d: EvalOutcome.ok((float(d @ [1.0, 2.0, 4.0, 8.0]),)))
+    small = random_search(p, CFG, budget=40, seed=4)
+    large = random_search(p, CFG, budget=100, seed=4)
     small_rows = [
         (r["reward"], r["valid"]) for r in small.history_rows()
     ]

@@ -72,7 +72,8 @@ def test_defaults_prints_complete_config(capsys):
         "ga",
     }
     assert config["train"]["batch_size"] == 32
-    assert config["reward"]["alpha_r"] == 0.2
+    assert config["reward"]["alpha_c"] == 1.0 and config["reward"]["r_ano"] == -1e9
+    assert not {"alpha_r", "alpha_p"} & set(config["reward"])
 
 
 def test_defaults_roundtrip_is_runnable(tmp_path, capsys):
@@ -236,7 +237,6 @@ def test_random_run_outputs(tmp_path, capsys):
         "reward",
         "valid",
         "violation_sum",
-        "running_reward",
         "best_reward",
     ]
     summary = read_summary(out)

@@ -8,13 +8,11 @@ from coredse.objective import (
     RewardConfig,
     Violation,
     advantages,
-    anomalous_reward,
     penalty_reward,
     raw_objective,
     scalar_reward,
     surrogate_gradients,
     surrogate_objective,
-    update_running,
 )
 from coredse.policy import (
     DomainError,
@@ -89,9 +87,6 @@ def test_outcome_validation():
 def test_reward_config_validation():
     with pytest.raises(ValueError):
         RewardConfig(weights=())
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            RewardConfig(alpha_r=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -125,50 +120,23 @@ def test_reward_terms_reject_anomalous_outcomes():
         raw_objective(bad, (-1.0,))
 
 
-def test_anomalous_reward_branches():
-    cfg = RewardConfig(weights=(-1.0,), r_ano=-1e9, alpha_p=1.0)
-    # first episode: no history to lean on
-    assert anomalous_reward(None, 0.0, None, 1, cfg) == -1e9
-    assert anomalous_reward(5.0, 3.0, 4.0, 1, cfg) == -1e9
-    # missing either batch mean falls back to the floor
-    assert anomalous_reward(None, 3.0, 4.0, 2, cfg) == -1e9
-    assert anomalous_reward(5.0, 3.0, None, 2, cfg) == -1e9
-    # min() picks whichever history signal is worse
-    assert abs(anomalous_reward(5.0, 3.0, 4.0, 2, cfg) - (3.0 - 4.0)) < 1e-12
-    assert abs(anomalous_reward(2.0, 3.0, 4.0, 2, cfg) - (2.0 - 4.0)) < 1e-12
-    cfg2 = dataclasses.replace(cfg, alpha_p=0.5)
-    assert abs(anomalous_reward(5.0, 3.0, 4.0, 7, cfg2) - (3.0 - 2.0)) < 1e-12
-    with pytest.raises(ValueError):
-        anomalous_reward(5.0, 3.0, 4.0, 0, cfg)
-
-
-def test_update_running_ema_step():
-    rewards = [8.0, 12.0, 10.0, 10.0]  # mean 10
-    assert update_running(0.0, rewards, 0.2) == 2.0
-    assert update_running(5.0, rewards, 1.0) == 10.0
-    assert update_running(5.0, rewards, 0.0) == 5.0
-    with pytest.raises(ValueError):
-        update_running(0.0, [], 0.2)
-
-
-def test_advantages_center_on_running():
-    got = advantages([1.0, 2.0, 3.0], 2.0)
-    assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-15)
+def test_advantages_leave_one_out():
+    # each reward minus the mean of the other two
+    got = advantages([1.0, 2.0, 6.0])
+    assert np.allclose(got, [1.0 - 4.0, 2.0 - 3.5, 6.0 - 1.5], rtol=0.0, atol=1e-15)
+    assert abs(got.sum()) < 1e-12
+    # a batch of one, or of equal rewards, has nothing to compare against
+    assert advantages([5.0]).tolist() == [0.0]
+    assert advantages(np.full(7, 0.1)).tolist() == [0.0] * 7
+    assert advantages(np.full(4, -1e9)).tolist() == [0.0] * 4
 
 
 def test_reward_translation_invariance():
-    # shifting every reward and the running mean by c shifts the EMA by c
-    # and leaves advantages untouched
+    # shifting every reward of a batch by c leaves its advantages untouched
     rng = np.random.default_rng(4)
     rewards = rng.normal(size=12)
-    running = 0.7
     c = 123.456
-    base = update_running(running, rewards, 0.2)
-    shifted = update_running(running + c, rewards + c, 0.2)
-    assert abs(shifted - (base + c)) < 1e-9
-    assert np.allclose(
-        advantages(rewards, base), advantages(rewards + c, base + c), atol=1e-9
-    )
+    assert np.allclose(advantages(rewards), advantages(rewards + c), rtol=0.0, atol=1e-9)
 
 
 def test_raw_objective_negates_weighted_metrics():

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -7,9 +6,10 @@ import pytest
 from coredse import trainer as trainer_module
 from coredse.baselines import ga_run
 from coredse.objective import EvalOutcome, RewardConfig, Violation
-from coredse.problems import Problem, toy_line_problem
+from coredse.costmodel import platform_by_name
+from coredse.problems import Problem, accelerator_problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
-from coredse.policy import PolicyParams, layout_for_space, sample
+from coredse.policy import PolicyParams, init_params, layout_for_space, sample
 from coredse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -25,8 +25,11 @@ from coredse.trainer import (
     train,
     _action_hash,
     _adam_ascend,
+    _fresh_state,
     _LoopState,
+    _shaped_reward,
 )
+from test_acceptance import TOY_OPT, TOY_WL, _toy_cfg
 
 SMALL_POLICY = PolicyConfig(input_width=16, hidden_width=32)
 
@@ -96,6 +99,30 @@ def test_entropy_coefficient_schedule():
     assert abs(entropy_coefficient(1, cfg) - 0.51) < 1e-12
     assert abs(entropy_coefficient(2, cfg) - 0.02) < 1e-12
     assert entropy_coefficient(0, line_cfg(max_episodes=1)) == 1.0
+
+
+def test_entropy_schedule_ends_on_the_last_episode_that_runs():
+    # the budget allows 10 episodes of 8 designs out of max_episodes=100
+    cfg = line_cfg(max_episodes=100, sample_budget=80)
+    assert cfg.episode_count() == 10
+    assert entropy_coefficient(0, cfg) == cfg.reward.beta_e_start
+    assert abs(entropy_coefficient(9, cfg) - cfg.reward.beta_e_end) < 1e-12
+    res = train(toy_line_problem(), cfg)
+    assert abs(res.history[-1].beta_e - cfg.reward.beta_e_end) < 1e-12
+
+
+def test_fresh_weights_do_not_share_episode_zeros_stream():
+    # default_rng([seed]) pads to episode 0's default_rng([seed, 0])
+    cfg = line_cfg(seed=3)
+    p = toy_line_problem()
+    got = _fresh_state(p, cfg).params
+    same_stream = init_params(
+        np.random.default_rng([cfg.seed, 0]),
+        SMALL_POLICY.input_width,
+        SMALL_POLICY.hidden_width,
+        layout_for_space(p.space).out_width,
+    )
+    assert not any(np.array_equal(a, b) for a, b in zip(got.weights, same_stream.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +208,6 @@ def test_history_schema_and_hashes():
         "reward",
         "valid",
         "violation_sum",
-        "running_reward",
         "best_reward",
     ]
     hashes = {h for rep in res.history for h in rep.action_hashes}
@@ -199,7 +225,7 @@ def test_history_rows_hold_python_numbers():
         return EvalOutcome.ok((float(v),), [Violation("odd", 0.5)] if v % 2 else [])
 
     p = Problem("half", space, toy_line_problem().decode, evaluate)
-    floats = {"reward", "violation_sum", "running_reward", "best_reward"}
+    floats = {"reward", "violation_sum", "best_reward"}
     core = train(p, line_cfg(max_episodes=4))
     ga = ga_run(p, WEIGHTS1, pop_size=8, generations=3, seed=1)
     for result in (core, ga):
@@ -210,25 +236,71 @@ def test_history_rows_hold_python_numbers():
                 assert type(value) is (float if key in floats else int), (key, type(value))
 
 
-def test_first_episode_running_reward_ema():
-    # running starts at 0; after one batch it is alpha_r * mean(shaped)
-    res = train(toy_line_problem(), line_cfg(max_episodes=1))
-    rep = res.history[0]
-    assert abs(rep.running_reward - 0.2 * rep.mean_reward) < 1e-12
+def recorded_advantages(monkeypatch) -> list[np.ndarray]:
+    """The advantages of every update `train` takes from now on."""
+    advs = []
+    gradients = trainer_module.surrogate_gradients
+
+    def recording(dists, raws, a, beta_e):
+        advs.append(np.array(a))
+        return gradients(dists, raws, a, beta_e)
+
+    monkeypatch.setattr(trainer_module, "surrogate_gradients", recording)
+    return advs
 
 
-def test_all_anomalous_batch_uses_floor_reward():
+def test_updates_use_leave_one_out_advantages(monkeypatch):
+    advs = recorded_advantages(monkeypatch)
+    res = train(toy_line_problem(), line_cfg(max_episodes=3))
+    assert len(advs) == len(res.history) == 3
+    for a, rep in zip(advs, res.history):
+        r = rep.rewards
+        others = (r.sum() - r) / (r.size - 1)
+        assert np.allclose(a, r - others, rtol=0.0, atol=1e-12)
+
+
+def test_all_anomalous_batch_uses_floor_reward(monkeypatch):
+    advs = recorded_advantages(monkeypatch)
     res = train(failing_problem(), line_cfg(max_episodes=2))
-    first = res.history[0]
-    assert first.n_valid == 0
-    assert (first.rewards == -1e9).all()
-    assert abs(first.running_reward - 0.2 * -1e9) < 1e-3
-    # later all-anomalous batches have no valid means to lean on: still the floor
-    assert (res.history[1].rewards == -1e9).all()
+    for rep in res.history:
+        assert rep.n_valid == 0 and (rep.rewards == -1e9).all()
+    # every design scores the floor, so nothing is ranked and nothing moves
+    assert [a.tolist() for a in advs] == [[0.0] * 8] * 2
     assert res.best is None and res.best_feasible is None
 
 
-def test_target_stops_early_and_freezes_running():
+def test_anomalous_designs_score_the_lowest_valid_reward_of_their_batch():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        cfg = RewardConfig(weights=tuple(rng.uniform(-2.0, 0.5, size=2)), alpha_c=rng.uniform(0.0, 10.0))
+        outcomes = []
+        for _ in range(int(rng.integers(1, 12))):
+            if rng.random() < 0.4:
+                outcomes.append(EvalOutcome.failed("rejected"))
+            else:
+                hits = [Violation("area", rng.uniform(0.01, 2.0))] if rng.random() < 0.3 else []
+                outcomes.append(EvalOutcome.ok(rng.uniform(-1e3, 1e6, size=2), hits))
+        rewards = _shaped_reward(outcomes, cfg)
+        anomalous = np.array([o.anomalous for o in outcomes])
+        if anomalous.all():
+            assert (rewards == cfg.r_ano).all()
+        elif anomalous.any():
+            assert rewards[anomalous].max() <= rewards[~anomalous].min()
+            assert rewards[anomalous].min() == rewards[~anomalous].min()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unscaled_decode_never_ranks_anomalous_above_valid(seed):
+    # gate 5's no-scaling ablation, where anomalous designs are common
+    problem = accelerator_problem(TOY_WL, platform_by_name("cloud"), TOY_OPT, use_scaling=False)
+    res = train(problem, _toy_cfg(seed))
+    mixed = [rep for rep in res.history if 0 < rep.n_valid < rep.valid.size]
+    assert mixed
+    for rep in mixed:
+        assert rep.rewards[~rep.valid].max() <= rep.rewards[rep.valid].min(), rep.episode
+
+
+def test_target_stops_early():
     # half the line sits within distance 3 of the target: the very first
     # batch should hit it
     cfg = line_cfg(max_episodes=50, target_objective=3.0)
@@ -236,8 +308,6 @@ def test_target_stops_early_and_freezes_running():
     assert res.status == "target_reached"
     assert res.episodes_run == 1 and len(res.history) == 1
     assert res.best_feasible is not None and res.best_feasible.objective <= 3.0
-    # the stop happens before the EMA update, so the logged value is untouched
-    assert res.history[0].running_reward == 0.0
 
 
 def test_best_feasible_tracks_minimum_objective():
@@ -262,7 +332,7 @@ def test_search_log_records_a_hand_built_batch():
     rewards = np.array([-4.0, 2.0, 10.0, -4.0, 2.0])
     raws = np.arange(5.0).reshape(5, 1)
     log = SearchLog()
-    log.record(7, raws, results, rewards, (-1.0,), 0.5, -1.5)
+    log.record(7, raws, results, rewards, (-1.0,), 0.5)
 
     assert (log.best.design, log.best.reward, log.best.objective, log.best.episode) == ("b", 2.0, 1.0, 7)
     assert (log.best_feasible.design, log.best_feasible.objective) == ("a", 4.0)
@@ -272,10 +342,10 @@ def test_search_log_records_a_hand_built_batch():
     (report,) = log.history
     assert report.valid.tolist() == [True, True, False, True, True]
     assert report.violation_sums.tolist() == [0.0, 0.5, 0.0, 0.0, 0.5]
-    assert (report.episode, report.beta_e, report.running_reward, report.best_reward) == (7, 0.5, -1.5, 2.0)
+    assert (report.episode, report.beta_e, report.best_reward) == (7, 0.5, 2.0)
 
     # A later batch that only ties keeps both earlier designs.
-    log.record(8, raws[:1], [("f", ok)], np.array([2.0]), (-1.0,), 0.5, -1.5)
+    log.record(8, raws[:1], [("f", ok)], np.array([2.0]), (-1.0,), 0.5)
     assert log.best.design == "b" and log.best_feasible.design == "a"
     assert log.samples_used == 6 and len(list(log.history_rows())) == 6
 
@@ -306,19 +376,43 @@ def test_policy_improves_on_toy_line():
 # checkpoint / resume
 
 
-def test_resume_matches_straight_run(tmp_path):
+class Interrupted(Exception):
+    pass
+
+
+def interrupted_run(problem, cfg, episodes, monkeypatch) -> _LoopState:
+    """The state of a run of `cfg` stopped as episode `episodes` begins to draw.
+
+    The run keeps its config, so its entropy schedule is the full run's; a
+    first leg with a smaller budget would decay it over fewer episodes.
+    """
+    state = _fresh_state(problem, cfg)
+    draw = trainer_module.sample
+
+    def draw_until(*args):
+        if state.episode == episodes:
+            raise Interrupted
+        return draw(*args)
+
+    monkeypatch.setattr(trainer_module, "sample", draw_until)
+    with pytest.raises(Interrupted):
+        train(problem, cfg, state=state)
+    monkeypatch.setattr(trainer_module, "sample", draw)
+    return state
+
+
+def test_resume_matches_straight_run(tmp_path, monkeypatch):
     p = toy_line_problem()
     full = line_cfg(max_episodes=10, sample_budget=80)
     straight = train(p, full)
 
-    first_leg = dataclasses.replace(full, sample_budget=40)
-    r1 = train(p, first_leg)
-    assert r1.episodes_run == 5 and r1.status == "budget_exhausted"
+    first_leg = interrupted_run(p, full, 5, monkeypatch)
+    assert first_leg.episode == 5 and first_leg.samples_used == 40 and len(first_leg.history) == 5
 
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, r1.state)
+    save_checkpoint(path, first_leg)
     state = load_checkpoint(path, p)
-    r2 = train(p, full, state=state, history=r1.history)
+    r2 = train(p, full, state=state, history=first_leg.history)
 
     assert r2.episodes_run == straight.episodes_run == 10
     assert list(r2.history_rows()) == list(straight.history_rows())
@@ -362,9 +456,9 @@ def test_resumed_run_draws_the_straight_runs_matrices(tmp_path, monkeypatch):
     train(p, full)
     straight = list(drawn)
     drawn.clear()
-    r1 = train(p, dataclasses.replace(full, sample_budget=32))
-    save_checkpoint(tmp_path / "ck.npz", r1.state)
-    train(p, full, state=load_checkpoint(tmp_path / "ck.npz", p), history=r1.history)
+    first_leg = interrupted_run(p, full, 4, monkeypatch)
+    save_checkpoint(tmp_path / "ck.npz", first_leg)
+    train(p, full, state=load_checkpoint(tmp_path / "ck.npz", p), history=first_leg.history)
     assert len(drawn) == len(straight) == 8
     assert all(a.shape == (8, 12) and a.tobytes() == b.tobytes() for a, b in zip(drawn, straight))
 
@@ -399,12 +493,10 @@ def test_resumed_best_that_meets_the_target_stops_after_one_episode(tmp_path):
     # only the carried-in best can meet a target set at its objective.
     far = toy_line_problem(target=100)
     state = load_checkpoint(path, far)
-    running = state.running
     cfg = line_cfg(max_episodes=10, target_objective=state.best_feasible.objective)
     res = train(far, cfg, state=state, history=r1.history)
     assert res.status == "target_reached" and res.episodes_run == 4
     assert len(res.history) == 4 and res.samples_used == 32
-    assert res.history[-1].running_reward == running == res.state.running
 
 
 def test_checkpoint_restores_best_designs(tmp_path):
@@ -416,7 +508,6 @@ def test_checkpoint_restores_best_designs(tmp_path):
     assert state.episode == 4 and state.samples_used == 32
     assert state.best_feasible.objective == res.best_feasible.objective
     assert state.best_feasible.design == res.best_feasible.design
-    assert state.running == res.state.running
     assert state.adam_step == res.state.adam_step
 
 
@@ -445,7 +536,21 @@ def test_checkpoint_handles_missing_best(tmp_path):
     save_checkpoint(path, res.state)
     state = load_checkpoint(path, failing_problem())
     assert state.best is None and state.best_feasible is None
-    assert state.prev_valid_mean is None
+
+
+def test_checkpoint_refuses_another_scalar_layout(tmp_path):
+    # a checkpoint of the old layout: adam step, episode, running reward,
+    # previous valid mean, samples used
+    res = train(toy_line_problem(), line_cfg(max_episodes=2))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, res.state)
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    payload["scalars"] = np.array([2.0, 2.0, -3.5, -4.0, 16.0])
+    old = tmp_path / "old.npz"
+    np.savez(old, **payload)
+    with pytest.raises(ValueError, match="5 scalars"):
+        load_checkpoint(old, toy_line_problem())
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +594,6 @@ def test_adam_step_matches_whole_array_reference(tmp_path):
         adam_v=[np.zeros_like(a) for a in params.arrays()],
         adam_step=0,
         episode=0,
-        running=0.0,
-        prev_valid_mean=None,
         samples_used=0,
         best=None,
         best_feasible=None,
