@@ -27,6 +27,7 @@ from .design import (
 )
 from .objective import (
     EvalOutcome,
+    OutcomeBatch,
     RewardConfig,
     Violation,
     advantages,

@@ -2,8 +2,23 @@
 
 Both operate on flat genomes in [0, 1]^n, one gene per declared
 parameter, converted to action vectors by bucketing categorical genes
-into indices. Scoring matches the policy loop's shaped reward so the
-three methods are comparable sample-for-sample.
+into indices. A batch of genomes is one (B, n) matrix, evaluated into one
+`OutcomeBatch` and scored as an array: `scalar_reward` for a valid design,
+`r_ano` for an anomalous one, so the three methods are comparable
+sample-for-sample.
+
+The GA breeds a whole generation at once from one generator,
+default_rng([seed]). The initial population is one (pop_size, n) draw.
+Each generation keeps its `elitism` fittest genomes verbatim and breeds
+the other pop_size - elitism children from whole-array draws, in this
+order: tournament picks of shape (2, children, tournament_k), whose
+fittest entries are the two parents of each child; a (children,) crossover
+decision at `crossover_rate` and a (children, n) uniform gene mask at 1/2;
+a (children, n) mutation mask at `mutation_rate`; and (children, n)
+normal noise of scale `mutation_sigma`. A child takes each gene from its
+first parent, or, where it crosses over and the gene mask is set, from
+its second; mutated genes add the noise, and every gene is clipped to
+[0, 1].
 """
 
 from __future__ import annotations
@@ -51,15 +66,10 @@ def genome_to_raw(space: ParameterSpace, genome: np.ndarray) -> np.ndarray:
 def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, genomes) -> np.ndarray:
     """Score a batch of genomes by the shaped reward and record it as the result's next batch."""
     raws = genome_to_raw(problem.space, genomes)
-    results = evaluate_batch(problem, raws)
-    fitness = np.array([cfg.r_ano if o.anomalous else scalar_reward(o, cfg) for _, o in results])
-    result.record(len(result.history), raws, results, fitness, cfg.weights, np.nan)
+    outcomes = evaluate_batch(problem, raws)
+    fitness = np.where(outcomes.anomalous, cfg.r_ano, scalar_reward(outcomes, cfg))
+    result.record(len(result.history), raws, outcomes, fitness, cfg.weights, np.nan)
     return fitness
-
-
-def _tournament(rng: np.random.Generator, fitness: np.ndarray, k: int) -> int:
-    picks = rng.integers(0, len(fitness), size=k)
-    return int(picks[np.argmax(fitness[picks])])
 
 
 def check_ga_args(pop_size: int, generations: int = 0) -> None:
@@ -82,31 +92,27 @@ def ga_run(
     mutation_sigma: float = 0.1,
     elitism: int = 1,
 ) -> BaselineResult:
-    """Generational GA; consumes exactly pop_size * (generations + 1) evaluations."""
+    """Generational GA, a generation at a time (see the module docstring);
+    consumes exactly pop_size * (generations + 1) evaluations."""
     check_ga_args(pop_size, generations)
     n = problem.n_raw
     rng = np.random.default_rng([seed])
     result = BaselineResult(method="ga")
 
-    pop = [rng.random(n) for _ in range(pop_size)]
+    pop = rng.random((pop_size, n))
     fitness = _score_batch(result, problem, cfg, pop)
 
     for _ in range(generations):
-        elite_order = np.argsort(fitness)[::-1][:elitism]
-        children = [pop[i].copy() for i in elite_order]
-        while len(children) < pop_size:
-            p1 = pop[_tournament(rng, fitness, tournament_k)]
-            p2 = pop[_tournament(rng, fitness, tournament_k)]
-            if rng.random() < crossover_rate:
-                mask = rng.random(n) < 0.5
-                child = np.where(mask, p1, p2)
-            else:
-                child = p1.copy()
-            mut = rng.random(n) < mutation_rate
-            noise = rng.normal(0.0, mutation_sigma, size=n)
-            child = np.clip(child + np.where(mut, noise, 0.0), 0.0, 1.0)
-            children.append(child)
-        pop = children
+        elites = pop[np.argsort(fitness)[::-1][:elitism]]
+        size = (pop_size - len(elites), n)
+        picks = rng.integers(0, pop_size, size=(2, size[0], tournament_k))
+        winners = np.take_along_axis(picks, fitness[picks].argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        first, second = pop[winners]
+        crossed = (rng.random(size[0]) < crossover_rate)[:, None] & (rng.random(size) < 0.5)
+        mutated = rng.random(size) < mutation_rate
+        noise = rng.normal(0.0, mutation_sigma, size=size)
+        children = np.clip(np.where(crossed, second, first) + np.where(mutated, noise, 0.0), 0.0, 1.0)
+        pop = np.concatenate([elites, children])
         fitness = _score_batch(result, problem, cfg, pop)
     return result
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DIM_INDEX, DesignBatch, DesignConfig, Layer, Workload, valid_rows, validate_config
-from .objective import EvalOutcome, Violation
+from .objective import EvalOutcome, OutcomeBatch, Violation
 from .space import EXACT_INT
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 TENSORS = ("weights", "inputs", "outputs")
+_CONSTRAINTS = ("area", "l1_capacity", "l2_capacity")  # simulate()'s violation names, in its order
 
 # Index dimensions per tensor, as positions into the canonical (S,R,K,C,X,Y) tuple.
 _REL = {
@@ -223,9 +224,11 @@ def make_batch_evaluator(workload: Workload, platform: Platform, consts: CostCon
     """simulate() over a DesignBatch, or None where int64 pricing could differ from it.
 
     The evaluator takes a batch and a mask of the rows to price, and returns
-    one EvalOutcome per row, equal to simulate()'s for that row's design, or
-    None where the mask is False or `valid_rows` fails the row (simulate()
-    names what is wrong). Arrays run over rows x layers x levels x tensors.
+    an OutcomeBatch and a mask of the rows it left. A priced row's metrics
+    and residuals are simulate()'s for that row's design; a row is left
+    where the mask is False or `valid_rows` fails it (simulate() names what
+    is wrong), and is marked anomalous, with no note, until the scalar path
+    fills it. Arrays run over rows x layers x levels x tensors.
     """
     if not _int64_exact(workload, platform, consts):
         return None
@@ -235,39 +238,38 @@ def make_batch_evaluator(workload: Workload, platform: Platform, consts: CostCon
     bw = np.asarray([[consts.bw_l2_bytes_per_cycle], [consts.bw_dram_bytes_per_cycle]])  # per level
     budget = platform.area_budget_mm2
 
-    def evaluate(batch: DesignBatch, priced: np.ndarray) -> list[EvalOutcome | None]:
-        outcomes: list[EvalOutcome | None] = [None] * len(priced)
-        rows = np.flatnonzero(priced & valid_rows(batch, workload))
-        if not rows.size:
-            return outcomes
-        b = batch.take(rows)
-        tiles = b.tiles
-        # Level 1 tiles level-2 tiles; level 2 tiles the layer.
-        outer = np.stack([tiles[:, :, 1], np.broadcast_to(dims, tiles[:, :, 1].shape)], axis=2)
-        trips = -(-outer // tiles)
-        pos = np.argsort(b.order, axis=-1)  # each dim's loop position
-        pos_tau = np.where(_REL_MASK, pos[..., None, :], -1).max(axis=-1)
-        counted = pos[..., None, :] <= pos_tau[..., None]
-        factor = np.where(counted, trips[..., None, :], 1).prod(axis=-1)
-        volume = np.where(_REL_MASK, tiles[..., None, :], 1).prod(axis=-1)  # (rows, L, level, tensor)
-        traffic = bpe * volume * factor
-        mem = (-(-traffic // bw)).sum(axis=(2, 3))
-        speedup = np.minimum(b.parallelism.prod(axis=-1), b.n_pe[:, None])
-        latency = np.maximum(-(-macs // speedup), mem)
-        mean_latency = latency.sum(axis=1) / len(dims)
-        footprint = bpe * volume.sum(axis=-1)
-        needs = (footprint[:, :, 0].max(axis=1), footprint[:, :, 1].max(axis=1))
-        area = b.n_pe * consts.area_per_pe_mm2 + (b.n_pe * b.l1_bytes + b.l2_bytes) * consts.area_per_byte_mm2
-
-        checks = [
-            ("area", area, np.full(len(rows), budget)),
-            ("l1_capacity", needs[0], b.l1_bytes),
-            ("l2_capacity", needs[1], b.l2_bytes),
-        ]
-        over = [(name, (value > cap).tolist(), ((value - cap) / cap).tolist()) for name, value, cap in checks]
-        for k, (i, lat, um2) in enumerate(zip(rows.tolist(), mean_latency.tolist(), (area * 1e6).tolist())):
-            violations = [Violation(name, res[k]) for name, hit, res in over if hit[k]]
-            outcomes[i] = EvalOutcome.ok((lat, um2), violations)
-        return outcomes
+    def evaluate(batch: DesignBatch, priced: np.ndarray) -> tuple[OutcomeBatch, np.ndarray]:
+        ok = priced & valid_rows(batch, workload)
+        rows = np.flatnonzero(ok)
+        metrics = np.full((len(ok), 2), np.nan)
+        residuals = np.zeros((len(ok), len(_CONSTRAINTS)))
+        if rows.size:
+            b = batch if rows.size == len(ok) else batch.take(rows)
+            tiles = b.tiles
+            # Level 1 tiles level-2 tiles; level 2 tiles the layer.
+            outer = np.stack([tiles[:, :, 1], np.broadcast_to(dims, tiles[:, :, 1].shape)], axis=2)
+            trips = -(-outer // tiles)
+            pos = np.argsort(b.order, axis=-1)  # each dim's loop position
+            pos_tau = np.where(_REL_MASK, pos[..., None, :], -1).max(axis=-1)
+            counted = pos[..., None, :] <= pos_tau[..., None]
+            factor = np.where(counted, trips[..., None, :], 1).prod(axis=-1)
+            volume = np.where(_REL_MASK, tiles[..., None, :], 1).prod(axis=-1)  # (rows, L, level, tensor)
+            traffic = bpe * volume * factor
+            mem = (-(-traffic // bw)).sum(axis=(2, 3))
+            speedup = np.minimum(b.parallelism.prod(axis=-1), b.n_pe[:, None])
+            latency = np.maximum(-(-macs // speedup), mem)
+            footprint = bpe * volume.sum(axis=-1)
+            area = b.n_pe * consts.area_per_pe_mm2 + (b.n_pe * b.l1_bytes + b.l2_bytes) * consts.area_per_byte_mm2
+            metrics[rows, 0] = latency.sum(axis=1) / len(dims)
+            metrics[rows, 1] = area * 1e6
+            # In _CONSTRAINTS order: simulate()'s value and cap of each.
+            checks = (
+                (area, budget),
+                (footprint[:, :, 0].max(axis=1), b.l1_bytes),
+                (footprint[:, :, 1].max(axis=1), b.l2_bytes),
+            )
+            for j, (value, cap) in enumerate(checks):
+                residuals[rows, j] = np.where(value > cap, (value - cap) / cap, 0.0)
+        return OutcomeBatch(metrics, residuals, _CONSTRAINTS, ~ok, designs=batch), ~ok
 
     return evaluate

@@ -1,10 +1,18 @@
-"""Rewards, advantages, and the on-policy surrogate objective.
+"""Outcomes, rewards, advantages, and the on-policy surrogate objective.
+
+A scored batch is one `OutcomeBatch`: metrics, constraint residuals, an
+anomalous mask and notes as arrays, one row a design.  `EvalOutcome` is
+what a problem's scalar `evaluate` returns for one design; the scalar path
+fills an `OutcomeBatch` from those (`OutcomeBatch.of`).
 
 Reward shaping: a valid design scores the weighted metric sum minus
-alpha_c times the summed positive constraint residuals.  A design the
-evaluator could not score (anomalous) is priced within its batch by the
-trainer: it gets the batch's lowest valid reward, or the floor r_ano when
-no design in the batch is valid.
+alpha_c times the summed positive constraint residuals (`scalar_reward`,
+one reward a row).  A design the evaluator could not score (anomalous) is
+priced within its batch by the trainer: it gets the batch's lowest valid
+reward, or the floor r_ano when no design in the batch is valid.  Weighted
+sums add one metric at a time from 0.0, and residual sums one constraint
+at a time, the same way for one design and for a batch, so a batch's
+rewards are bit-equal to its designs' one by one.
 
 Advantages compare the designs of one batch and nothing else, as the
 paper's surrogate does without a value function: each design's advantage
@@ -32,7 +40,8 @@ afterwards; a changed set is a new one, from `policy.heads_from_raw` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 from scipy.special import polygamma
@@ -43,6 +52,7 @@ from .policy import DistributionSet
 __all__ = [
     "Violation",
     "EvalOutcome",
+    "OutcomeBatch",
     "RewardConfig",
     "scalar_reward",
     "penalty_reward",
@@ -96,6 +106,126 @@ class EvalOutcome:
         return float(sum(v.residual for v in self.violations))
 
 
+@dataclass(frozen=True, eq=False)
+class OutcomeBatch:
+    """A batch's outcomes as arrays, one row a design, in slot order.
+
+    metrics: (B, m) float64, NaN on anomalous rows
+    residuals: (B, c) float64, a row's positive residual for each of
+        `names`, 0.0 where that constraint holds
+    names: the c constraint names
+    anomalous: (B,) bool
+    notes: row -> note, for anomalous rows only
+    designs: the array path's `DesignBatch`, or None; a row's design is
+        built from it only when asked for (`design`)
+    scalar_designs: row -> design, for the rows the scalar path decoded
+    """
+
+    metrics: np.ndarray
+    residuals: np.ndarray
+    names: tuple[str, ...]
+    anomalous: np.ndarray
+    notes: dict[int, str] = field(default_factory=dict)
+    designs: Any = None
+    scalar_designs: dict[int, Any] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.anomalous)
+
+    @staticmethod
+    def of(pairs) -> "OutcomeBatch":
+        """The batch of (design, EvalOutcome) pairs, one a row: the scalar path's form.
+
+        Residual columns keep the order in which each outcome lists its
+        violations, so that a row's residuals add up in that order; where
+        two outcomes disagree, names go in order of first appearance. A
+        row's residuals under one name add up.
+        """
+        pairs = list(pairs)
+        names = _merged_order(dict.fromkeys(tuple(v.name for v in o.violations) for _, o in pairs))
+        widths = {len(o.metrics) for _, o in pairs if not o.anomalous}
+        if len(widths) > 1:
+            raise ValueError(f"outcomes with {sorted(widths)} metrics in one batch")
+        metrics = np.full((len(pairs), widths.pop() if widths else 0), np.nan)
+        residuals = np.zeros((len(pairs), len(names)))
+        anomalous = np.zeros(len(pairs), dtype=bool)
+        notes = {}
+        column = {name: j for j, name in enumerate(names)}
+        for k, (_, o) in enumerate(pairs):
+            if o.anomalous:
+                anomalous[k] = True
+                notes[k] = o.note
+            else:
+                metrics[k] = o.metrics
+            for v in o.violations:
+                residuals[k, column[v.name]] += v.residual
+        designs = {k: design for k, (design, _) in enumerate(pairs)}
+        return OutcomeBatch(metrics, residuals, names, anomalous, notes, scalar_designs=designs)
+
+    def merged(self, rows, other: "OutcomeBatch") -> "OutcomeBatch":
+        """This batch with other's row j in place of row rows[j]."""
+        rows = [int(i) for i in rows]
+        names = self.names + tuple(n for n in other.names if n not in self.names)
+        residuals = np.zeros((len(self), len(names)))
+        residuals[:, : len(self.names)] = self.residuals
+        residuals[rows] = 0.0
+        for j, name in enumerate(other.names):
+            residuals[rows, names.index(name)] = other.residuals[:, j]
+        metrics = self.metrics.copy()
+        if other.metrics.shape[1] == metrics.shape[1]:
+            metrics[rows] = other.metrics
+        elif other.anomalous.all():
+            metrics[rows] = np.nan
+        else:
+            widths = (metrics.shape[1], other.metrics.shape[1])
+            raise ValueError(f"outcomes with {list(widths)} metrics in one batch")
+        anomalous = self.anomalous.copy()
+        anomalous[rows] = other.anomalous
+        taken = set(rows)
+        notes = {k: n for k, n in self.notes.items() if k not in taken}
+        notes.update((rows[j], n) for j, n in other.notes.items())
+        designs = {k: d for k, d in self.scalar_designs.items() if k not in taken}
+        designs.update((rows[j], d) for j, d in other.scalar_designs.items())
+        return OutcomeBatch(metrics, residuals, names, anomalous, notes, self.designs, designs)
+
+    @property
+    def feasible(self) -> np.ndarray:
+        """(B,) bool: valid, and no constraint residual."""
+        return ~self.anomalous & ~(self.residuals > 0.0).any(axis=1)
+
+    def weighted(self, weights) -> np.ndarray:
+        """Each row's metrics weighted and summed as `_weighted` sums one
+        design's; NaN on anomalous rows."""
+        if self.metrics.shape[1] != len(weights):
+            if self.anomalous.all():
+                return np.full(len(self), np.nan)
+            raise ValueError(f"{self.metrics.shape[1]} metrics vs {len(weights)} weights")
+        total = np.zeros(len(self))
+        for column, w in zip(self.metrics.T, weights):
+            total += column * float(w)
+        return total
+
+    def violation_sums(self) -> np.ndarray:
+        """Each row's residuals summed in `names` order."""
+        total = np.zeros(len(self))
+        for column in self.residuals.T:
+            total += column
+        return total
+
+    def design(self, row: int):
+        """The design of one row: as the scalar path decoded it, or built from `designs`."""
+        if row in self.scalar_designs:
+            return self.scalar_designs[row]
+        return self.designs.take([row]).configs()[0]
+
+    def outcome(self, row: int) -> EvalOutcome:
+        """One row as the EvalOutcome the scalar path gives for it."""
+        if self.anomalous[row]:
+            return EvalOutcome.failed(self.notes.get(row, ""))
+        hits = [Violation(n, r) for n, r in zip(self.names, self.residuals[row].tolist()) if r > 0.0]
+        return EvalOutcome.ok(self.metrics[row].tolist(), hits)
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     weights: tuple[float, ...] = (-1.0, 0.0)  # latency-only objective
@@ -111,26 +241,41 @@ class RewardConfig:
             raise ValueError("RewardConfig needs at least one metric weight")
 
 
+def _merged_order(sequences) -> tuple[str, ...]:
+    """Every name in the sequences, each after the names listed before it in
+    any sequence, or, where that is impossible, in order of first appearance."""
+    sequences = list(sequences)
+    pending = list(dict.fromkeys(n for seq in sequences for n in seq))
+    before = {n: {a for seq in sequences for a, b in zip(seq, seq[1:]) if b == n} for n in pending}
+    order: list[str] = []
+    while pending:
+        name = next((n for n in pending if before[n] <= set(order)), pending[0])
+        order.append(name)
+        pending.remove(name)
+    return tuple(order)
+
+
 def _weighted(metrics, weights) -> float:
+    """sum(m * w), added one metric at a time from 0.0."""
     if len(metrics) != len(weights):
         raise ValueError(f"{len(metrics)} metrics vs {len(weights)} weights")
-    return float(np.dot(np.asarray(metrics, dtype=float), np.asarray(weights, dtype=float)))
+    total = 0.0
+    for m, w in zip(metrics, weights):
+        total += float(m) * float(w)
+    return total
 
 
-def scalar_reward(outcome: EvalOutcome, cfg: RewardConfig) -> float:
-    """Weighted metrics minus alpha_c * sum of positive residuals."""
-    if outcome.anomalous:
-        raise ValueError("scalar_reward is only defined for valid outcomes")
-    return _weighted(outcome.metrics, cfg.weights) - cfg.alpha_c * outcome.violation_sum()
+def scalar_reward(outcomes: OutcomeBatch, cfg: RewardConfig) -> np.ndarray:
+    """Per row: weighted metrics minus alpha_c * sum of positive residuals;
+    NaN on anomalous rows."""
+    return outcomes.weighted(cfg.weights) - cfg.alpha_c * outcomes.violation_sums()
 
 
-def penalty_reward(outcome: EvalOutcome, cfg: RewardConfig) -> float:
-    """Shaping-disabled scoring: any violation collapses to the fixed penalty."""
-    if outcome.anomalous:
-        raise ValueError("penalty_reward is only defined for valid outcomes")
-    if outcome.violations:
-        return cfg.no_shaping_penalty
-    return _weighted(outcome.metrics, cfg.weights)
+def penalty_reward(outcomes: OutcomeBatch, cfg: RewardConfig) -> np.ndarray:
+    """Shaping-disabled scoring per row: any violation collapses to the fixed
+    penalty; NaN on anomalous rows."""
+    violated = ~outcomes.anomalous & ~outcomes.feasible
+    return np.where(violated, cfg.no_shaping_penalty, outcomes.weighted(cfg.weights))
 
 
 def advantages(rewards) -> np.ndarray:

@@ -3,10 +3,13 @@
 The trainer and the baseline searchers only ever see this interface, so
 swapping the accelerator model for a toy function needs no changes on
 their side. A problem may also carry an array path that decodes and
-evaluates a whole raw matrix at once; `decode` and `evaluate` stay its
-reference, and the path for every row it refuses. The array path is tied
-to the `decode` and `evaluate` it reproduces: a copy of the problem with
-either replaced (a wrapper, a cache, another model) has none.
+evaluates a whole raw matrix at once into an `OutcomeBatch`: metrics and
+constraint residuals as arrays, with the designs kept as a `DesignBatch`
+and a `DesignConfig` built only for a row that is asked for (a best design,
+say). `decode` and `evaluate` stay its reference, and the path for every
+row it refuses, whose outcome they fill into the same batch. The array
+path is tied to the `decode` and `evaluate` it reproduces: a copy of the
+problem with either replaced (a wrapper, a cache, another model) has none.
 """
 
 from __future__ import annotations
@@ -18,21 +21,24 @@ import numpy as np
 
 from .costmodel import CostConstants, Platform, make_batch_evaluator, make_evaluator
 from .design import CoDesignSpace, DesignConfig, SpaceOptions, Workload
-from .objective import EvalOutcome
+from .objective import EvalOutcome, OutcomeBatch
 from .space import ConfigurationError, ParameterSpace, decode_values, space_cardinality
+
+RawsRun = Callable[[np.ndarray], "tuple[OutcomeBatch, np.ndarray]"]
 
 
 @dataclass(frozen=True)
 class ArrayPath:
     """A whole-batch decode-then-evaluate and the two callables it reproduces.
 
-    run: (B, n) raw matrix -> per row (design, outcome) equal to
-        evaluate(decode(raw))'s, or None for a row it refuses
+    run: (B, n) raw matrix -> (outcomes, refused). Each row not refused
+        holds what evaluate(decode(raw)) gives; a refused row is the scalar
+        path's to fill.
     """
 
     decode: Callable[[Sequence[float]], Any]
     evaluate: Callable[[Any], EvalOutcome]
-    run: Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]]
+    run: RawsRun
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class Problem:
         return len(self.space.params)
 
     @property
-    def evaluate_raws(self) -> Callable[[np.ndarray], list[tuple[Any, EvalOutcome] | None]] | None:
+    def evaluate_raws(self) -> RawsRun | None:
         """The array path's run, while decode and evaluate are the callables it reproduces."""
         path = self.array_path
         if path is None or path.decode is not self.decode or path.evaluate is not self.evaluate:
@@ -103,7 +109,7 @@ def evaluate_caught(evaluate: Callable[[Any], EvalOutcome], design) -> EvalOutco
         return EvalOutcome.failed(f"evaluate: {exc}")
 
 
-def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate):
+def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate) -> RawsRun | None:
     """accelerator_problem's array path, or None where it could not match decode-then-evaluate.
 
     A row is refused where decode raises; the scalar path then gives its
@@ -117,15 +123,14 @@ def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate)
     except ConfigurationError:  # a bound beyond the exact int64 range
         return None
 
-    def evaluate_raws(raws: np.ndarray) -> list[tuple[DesignConfig, EvalOutcome] | None]:
+    def evaluate_raws(raws: np.ndarray) -> tuple[OutcomeBatch, np.ndarray]:
         batch, decoded = decode_batch(raws)
-        outcomes = price(batch, decoded)
-        rows = np.flatnonzero(decoded)
-        results: list[tuple[DesignConfig, EvalOutcome] | None] = [None] * len(raws)
-        for i, design in zip(rows.tolist(), batch.take(rows).configs()):
-            outcome = outcomes[i]
-            results[i] = (design, outcome if outcome is not None else evaluate_caught(evaluate, design))
-        return results
+        outcomes, left = price(batch, decoded)
+        rows = np.flatnonzero(left & decoded)
+        if rows.size:
+            invalid = [(d, evaluate_caught(evaluate, d)) for d in batch.take(rows).configs()]
+            outcomes = outcomes.merged(rows, OutcomeBatch.of(invalid))
+        return outcomes, ~decoded
 
     return evaluate_raws
 

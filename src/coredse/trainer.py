@@ -20,14 +20,22 @@ what a straight run draws. `sample` must stay a name in this module's
 globals: perfbench wraps `trainer.sample` for its sampling span.
 
 A batch is decoded and evaluated by `evaluate_batch`, through the
-problem's array path where it has one. Its body is `_decode_and_eval`,
+problem's array path where it has one, into one `OutcomeBatch` (metrics,
+residuals, anomalous mask and notes as arrays). Shaping and
+`SearchLog.record` read those arrays; `record` builds a design object only
+for a row that becomes a best design, and the target check reads the
+recorded best. Its body is `_decode_and_eval`,
 and that name must stay: perfbench ends its set-up clock at the first
 call of it, looked up in this module's globals, and a baselines run that
-never calls it fails.
+never calls it fails. So must `scalar_reward` and `_shaped_reward`, which
+perfbench times as reward shaping.
+A checkpoint records `config_digest` of the config its run started under,
+and `train` resumes a state only under a config of the same digest.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -36,10 +44,10 @@ import numpy as np
 
 from .objective import (
     EvalOutcome,
+    OutcomeBatch,
     RewardConfig,
     advantages,
     penalty_reward,
-    raw_objective,
     scalar_reward,
     surrogate_gradients,
 )
@@ -62,6 +70,7 @@ __all__ = [
     "BestDesign",
     "SearchLog",
     "TrainResult",
+    "config_digest",
     "entropy_coefficient",
     "evaluate_batch",
     "train",
@@ -154,34 +163,41 @@ class SearchLog:
     best_feasible: BestDesign | None = None
     history: list[EpisodeReport] = field(default_factory=list)
 
-    def record(self, episode: int, raws, results, rewards, weights, beta_e: float) -> None:
+    def record(self, episode: int, raws, outcomes: OutcomeBatch, rewards, weights, beta_e: float) -> None:
         """Count one scored batch, fold it into the best designs and log it.
 
         `best` is the top reward, `best_feasible` the lowest objective among
         feasible designs. Anomalous designs never count; ties keep the
-        earlier design.
+        earlier design. Only a row that becomes a best design has its design
+        built.
         """
         self.samples_used += len(raws)
-        for k, (design, outcome) in enumerate(results):
-            if outcome.anomalous:
-                continue
-            if self.best is None or rewards[k] > self.best.reward:
-                self.best = BestDesign(
-                    float(rewards[k]), raw_objective(outcome, weights), design, raws[k].copy(), episode
-                )
-            if outcome.feasible:
-                obj = raw_objective(outcome, weights)
-                if self.best_feasible is None or obj < self.best_feasible.objective:
-                    self.best_feasible = BestDesign(float(rewards[k]), obj, design, raws[k].copy(), episode)
+        rewards = np.asarray(rewards, dtype=float)
+        valid = ~outcomes.anomalous
+        if valid.any():
+            objective = -outcomes.weighted(weights)
+
+            def best_design(candidates: np.ndarray, score: np.ndarray) -> BestDesign:
+                k = int(np.flatnonzero(candidates)[np.argmax(score[candidates])])
+                design = outcomes.design(k)
+                return BestDesign(float(rewards[k]), float(objective[k]), design, raws[k].copy(), episode)
+
+            if self.best is None or rewards[valid].max() > self.best.reward:
+                self.best = best_design(valid, rewards)
+            feasible = outcomes.feasible
+            if feasible.any() and (
+                self.best_feasible is None or objective[feasible].min() < self.best_feasible.objective
+            ):
+                self.best_feasible = best_design(feasible, -objective)
         self.history.append(
             EpisodeReport(
                 episode=episode,
                 beta_e=beta_e,
                 best_reward=self.best.reward if self.best is not None else float("nan"),
-                rewards=np.asarray(rewards, dtype=float),
-                valid=np.array([not outcome.anomalous for _, outcome in results], dtype=bool),
-                violation_sums=np.array([outcome.violation_sum() for _, outcome in results], dtype=float),
-                action_hashes=tuple(_action_hash(raw) for raw in raws),
+                rewards=rewards,
+                valid=valid,
+                violation_sums=outcomes.violation_sums(),
+                action_hashes=_action_hashes(raws),
             )
         )
 
@@ -219,11 +235,14 @@ def entropy_coefficient(episode: int, cfg: TrainConfig) -> float:
     return r.beta_e_start + (r.beta_e_end - r.beta_e_start) * frac
 
 
-def _action_hash(raw: np.ndarray) -> str:
-    return hashlib.blake2b(np.ascontiguousarray(raw, dtype=np.float64).tobytes(), digest_size=8).hexdigest()
+def _action_hashes(raws) -> tuple[str, ...]:
+    """Per row of the raw matrix: a digest of its float64 bytes."""
+    matrix = np.ascontiguousarray(raws, dtype=np.float64)
+    return tuple(hashlib.blake2b(row, digest_size=8).hexdigest() for row in matrix)
 
 
-def _decode_and_eval_one(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOutcome]:
+def _decode_and_eval_one(problem: Problem, raw) -> tuple[Any, EvalOutcome]:
+    """The scalar path for one row: decode, then evaluate, errors caught into an anomalous outcome."""
     try:
         design = problem.decode(raw)
     except Exception as exc:
@@ -231,9 +250,8 @@ def _decode_and_eval_one(problem: Problem, raw: np.ndarray) -> tuple[Any, EvalOu
     return design, evaluate_caught(problem.evaluate, design)
 
 
-def _decode_and_eval(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
+def _decode_and_eval(problem: Problem, raws) -> OutcomeBatch:
     """The body of `evaluate_batch`, under the name perfbench hooks (see above)."""
-    results = None
     evaluate_raws = problem.evaluate_raws
     if evaluate_raws is not None and len(raws):
         try:
@@ -242,21 +260,32 @@ def _decode_and_eval(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
             matrix = None
         # Only numbers take the array path; anything else gets the scalar path's note.
         if matrix is not None and matrix.dtype.kind in "fiu" and matrix.shape == (len(raws), problem.n_raw):
-            results = evaluate_raws(matrix.astype(float, copy=False))
-    if results is None:
-        results = [None] * len(raws)
-    return [r if r is not None else _decode_and_eval_one(problem, raw) for r, raw in zip(results, raws)]
+            outcomes, refused = evaluate_raws(matrix.astype(float, copy=False))
+            rows = np.flatnonzero(refused).tolist()
+            if not rows:
+                return outcomes
+            refused_rows = OutcomeBatch.of(_decode_and_eval_one(problem, raws[i]) for i in rows)
+            return outcomes.merged(rows, refused_rows)
+    return OutcomeBatch.of(_decode_and_eval_one(problem, raw) for raw in raws)
 
 
-def evaluate_batch(problem: Problem, raws) -> list[tuple[Any, EvalOutcome]]:
-    """Decode and evaluate a batch, in slot order.
+def evaluate_batch(problem: Problem, raws) -> OutcomeBatch:
+    """Decode and evaluate a batch, in slot order, into one `OutcomeBatch`.
 
     The problem's array path (`Problem.evaluate_raws`) takes the batch where
     it has one; every row it refuses, and every row of a problem without
     one (or whose decode or evaluate was replaced), is decoded and
-    evaluated on its own, with errors caught into an anomalous outcome.
+    evaluated on its own, with errors caught into an anomalous outcome, and
+    filled into the same batch.
     """
     return _decode_and_eval(problem, raws)
+
+
+def config_digest(cfg: TrainConfig) -> str:
+    """A digest of everything in cfg that shapes a run's episodes: all of it
+    but the target, which only decides where a run stops."""
+    shaping = dataclasses.replace(cfg, target_objective=None)
+    return hashlib.blake2b(repr(shaping).encode(), digest_size=16).hexdigest()
 
 
 @dataclass(kw_only=True)
@@ -264,6 +293,7 @@ class _LoopState(SearchLog):
     params: PolicyParams
     adam_m: list[np.ndarray]
     adam_v: list[np.ndarray]
+    config: str  # config_digest of the TrainConfig the state was created under
     adam_step: int = 0
     episode: int = 0
 
@@ -279,6 +309,7 @@ def _fresh_state(problem: Problem, cfg: TrainConfig) -> _LoopState:
         params=params,
         adam_m=[np.zeros_like(a) for a in params.arrays()],
         adam_v=[np.zeros_like(a) for a in params.arrays()],
+        config=config_digest(cfg),
     )
 
 
@@ -347,7 +378,7 @@ def _adam_ascend(state: _LoopState, factors: list[tuple[np.ndarray, np.ndarray]]
             _adam_block(b[rows], m[ib][rows], v[ib][rows], d, s1, s2, lr, c1, c2)
 
 
-def _shaped_reward(outcomes: list[EvalOutcome], cfg: RewardConfig) -> np.ndarray:
+def _shaped_reward(outcomes: OutcomeBatch, cfg: RewardConfig) -> np.ndarray:
     """One batch's rewards, in slot order.
 
     With shaping, a valid design scores `scalar_reward` and an anomalous one
@@ -355,16 +386,14 @@ def _shaped_reward(outcomes: list[EvalOutcome], cfg: RewardConfig) -> np.ndarray
     so no anomalous design outranks a valid one. Without shaping, every
     anomalous or violating design scores `cfg.no_shaping_penalty`.
     """
-    valid = np.array([not o.anomalous for o in outcomes], dtype=bool)
-    kept = [o for o in outcomes if not o.anomalous]
+    valid = ~outcomes.anomalous
     if cfg.shaping:
-        scored = [scalar_reward(o, cfg) for o in kept]
-        rewards = np.full(len(outcomes), min(scored, default=cfg.r_ano), dtype=float)
+        scored = scalar_reward(outcomes, cfg)
+        floor = scored[valid].min() if valid.any() else cfg.r_ano
     else:
-        scored = [penalty_reward(o, cfg) for o in kept]
-        rewards = np.full(len(outcomes), cfg.no_shaping_penalty, dtype=float)
-    rewards[valid] = scored
-    return rewards
+        scored = penalty_reward(outcomes, cfg)
+        floor = cfg.no_shaping_penalty
+    return np.where(valid, scored, floor)
 
 
 def _check_policy_shapes(params: PolicyParams, policy: PolicyConfig, out_width: int) -> None:
@@ -386,12 +415,22 @@ def train(
     history: list[EpisodeReport] | None = None,
 ) -> TrainResult:
     """Run the search loop to completion; pass a restored state, and the
-    history it was saved with, to resume."""
+    history it was saved with, to resume.
+
+    ValueError if the state was created under a config other than cfg
+    (`config_digest`): a resumed run must keep the schedule, reward and
+    step size it started with.
+    """
     layout = layout_for_space(problem.space)
     if state is None:
         state = _fresh_state(problem, cfg)
     else:
         _check_policy_shapes(state.params, cfg.policy, layout.out_width)
+        if state.config != config_digest(cfg):
+            raise ValueError(
+                f"state was created under config {state.config}, but cfg's is {config_digest(cfg)}; "
+                "resume under the config the run started with"
+            )
     state.history = list(history) if history else []
     context = context_vector(cfg.policy.input_width)
     episodes = cfg.episode_count()
@@ -405,9 +444,9 @@ def train(
         dists, cache = forward_cached(state.params, context, layout)
         raws = sample(dists, np.random.default_rng([cfg.seed, ep]), cfg.batch_size)
 
-        results = evaluate_batch(problem, raws)
-        shaped = _shaped_reward([outcome for _, outcome in results], rcfg)
-        state.record(ep, raws, results, shaped, rcfg.weights, beta_e)
+        outcomes = evaluate_batch(problem, raws)
+        shaped = _shaped_reward(outcomes, rcfg)
+        state.record(ep, raws, outcomes, shaped, rcfg.weights, beta_e)
 
         best = state.best_feasible
         if cfg.target_objective is not None and best is not None and best.objective <= cfg.target_objective:
@@ -446,6 +485,7 @@ def save_checkpoint(path, state: _LoopState) -> None:
     for i, a in enumerate(state.adam_v):
         payload[f"v{i}"] = a
     payload["scalars"] = np.array([state.adam_step, state.episode, state.samples_used], dtype=float)
+    payload["config"] = np.array(state.config)
     for label, best in (("best", state.best), ("feas", state.best_feasible)):
         if best is not None:
             payload[f"{label}_raw"] = best.raw
@@ -456,13 +496,15 @@ def save_checkpoint(path, state: _LoopState) -> None:
 
 def load_checkpoint(path, problem: Problem) -> _LoopState:
     """Restore a saved state; ValueError if it was saved on another space or
-    in another layout."""
+    in another layout, or without the digest of its config."""
     with np.load(path) as data:
         s = data["scalars"]
         if s.shape != (3,):
             raise ValueError(
                 f"checkpoint has {s.size} scalars, expected 3 (adam step, episode, samples used)"
             )
+        if "config" not in data.files:
+            raise ValueError("checkpoint has no config digest, so nothing says which config it resumes under")
         n_layers = sum(1 for k in data.files if k.startswith("w"))
         params = PolicyParams(
             weights=[data[f"w{i}"] for i in range(n_layers)],
@@ -499,6 +541,7 @@ def load_checkpoint(path, problem: Problem) -> _LoopState:
             params=params,
             adam_m=adam_m,
             adam_v=adam_v,
+            config=str(data["config"]),
             adam_step=int(s[0]),
             episode=int(s[1]),
             samples_used=int(s[2]),

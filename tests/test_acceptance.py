@@ -270,7 +270,25 @@ def test_gate4_baseline_budget_parity(capsys):
         # weights are (-1e-6, 0), so the objective is latency in millions
         return result.best_feasible.objective * 1e6 if result.best_feasible else math.inf
 
+    # The compute floor: every layer at ceil(MACs / 128 PEs) cycles. A feasible
+    # design there scores reward -(floor * 1e-6), bit for bit, and none scores more.
+    floor = statistics.mean(-(-math.prod(layer.dims()) // 128) for layer in RESNETISH.layers)
+    floor_reward = floor * -1e-6
+
+    def samples_to_floor(result) -> int | None:
+        """The number of designs evaluated when the first one at the floor was."""
+        for i, row in enumerate(result.history_rows()):
+            if row["valid"] and row["violation_sum"] == 0.0 and row["reward"] >= floor_reward:
+                return i + 1
+        return None
+
+    def floor_summary(name, counts) -> str:
+        hits = [n for n in counts if n is not None]
+        span = f" ({min(hits)}-{max(hits)})" if hits else ""
+        return f"{name} {len(hits)}/{len(counts)}{span}"
+
     core, ga, rand = [], [], []
+    reached = {"core": [], "ga": [], "random": []}
     for seed in range(10):
         cfg = TrainConfig(
             batch_size=16,
@@ -281,9 +299,14 @@ def test_gate4_baseline_budget_parity(capsys):
             reward=rw,
             policy=PolicyConfig(input_width=64, hidden_width=256),
         )
-        core.append(latency(train(problem, cfg)))
-        ga.append(latency(ga_run(problem, rw, pop_size=32, generations=311, seed=seed)))
-        rand.append(latency(random_search(problem, rw, budget=10_000, seed=seed)))
+        runs = (
+            ("core", core, train(problem, cfg)),
+            ("ga", ga, ga_run(problem, rw, pop_size=32, generations=311, seed=seed)),
+            ("random", rand, random_search(problem, rw, budget=10_000, seed=seed)),
+        )
+        for name, bests, result in runs:
+            bests.append(latency(result))
+            reached[name].append(samples_to_floor(result))
 
     med = statistics.median
     mc, mg, mr = med(core), med(ga), med(rand)
@@ -295,7 +318,9 @@ def test_gate4_baseline_budget_parity(capsys):
         ok,
         f"median best latency: core {mc:.0f}, ga {mg:.0f}, random {mr:.0f} cycles; "
         f"ratios ga/core {mg / mc:.2f}, random/core {mr / mc:.2f}; "
-        f"10 seeds x 10000 samples each, {dt:.0f}s",
+        f"seeds at the {floor:.0f} floor (samples to it): "
+        + ", ".join(floor_summary(name, counts) for name, counts in reached.items())
+        + f"; 10 seeds x 10000 samples each, {dt:.0f}s",
         capsys,
     )
     assert ok

@@ -117,6 +117,72 @@ def test_ga_zero_rates_keep_population_constant():
         assert rep.rewards.max() == best0
 
 
+def gene_problem(n: int = 5):
+    """Ranged genes only, so each raw row is its genome; the metric reads every
+    gene. Returns the problem and the genomes it was asked to decode, in order."""
+    space = ParameterSpace(tuple(ParamSpec(f"g{i}", Ranged(0, 15)) for i in range(n)))
+    seen = []
+
+    def decode(raw):
+        seen.append(np.array(raw, dtype=float))
+        return seen[-1]
+
+    def evaluate(genes):
+        return EvalOutcome.ok((float(genes @ np.arange(1.0, n + 1)),))
+
+    return Problem("genes", space, decode, evaluate), seen
+
+
+def generations_of(seen, pop_size):
+    assert len(seen) % pop_size == 0
+    return [np.stack(seen[i : i + pop_size]) for i in range(0, len(seen), pop_size)]
+
+
+@pytest.mark.parametrize("elitism", [1, 3])
+def test_ga_elite_genomes_pass_verbatim(elitism):
+    p, seen = gene_problem()
+    res = ga_run(p, CFG, pop_size=8, generations=6, seed=7, elitism=elitism)
+    gens = generations_of(seen, 8)
+    for g, (pop, nxt) in enumerate(zip(gens, gens[1:])):
+        fitness = res.history[g].rewards
+        top = np.argsort(fitness)[::-1][:elitism]
+        assert nxt[:elitism].tobytes() == pop[top].tobytes()
+        assert nxt[0].tobytes() == pop[np.argmax(fitness)].tobytes()
+
+
+def test_ga_genes_stay_in_the_unit_interval():
+    p, seen = gene_problem()
+    ga_run(p, CFG, pop_size=16, generations=8, seed=3, mutation_rate=1.0, mutation_sigma=5.0)
+    genes = np.concatenate(generations_of(seen, 16))
+    assert genes.min() >= 0.0 and genes.max() <= 1.0
+    assert (genes == 0.0).any() and (genes == 1.0).any()  # the noise was clipped at both ends
+
+
+def test_ga_without_crossover_or_mutation_copies_parents():
+    p, seen = gene_problem()
+    ga_run(p, CFG, pop_size=8, generations=6, seed=2, crossover_rate=0.0, mutation_rate=0.0)
+    gens = generations_of(seen, 8)
+    for pop, nxt in zip(gens, gens[1:]):
+        parents = {row.tobytes() for row in pop}
+        assert all(child.tobytes() in parents for child in nxt)
+
+
+def test_ga_evaluates_exactly_its_budget():
+    p, seen = gene_problem()
+    res = ga_run(p, CFG, pop_size=6, generations=9, seed=1, elitism=2)
+    assert len(seen) == res.samples_used == 6 * 10
+    assert [len(rep.rewards) for rep in res.history] == [6] * 10
+
+
+def test_ga_draws_are_a_function_of_the_seed():
+    runs = []
+    for seed in (5, 5, 6):
+        p, seen = gene_problem()
+        ga_run(p, CFG, pop_size=8, generations=4, seed=seed)
+        runs.append(np.stack(seen).tobytes())
+    assert runs[0] == runs[1] != runs[2]
+
+
 def test_ga_elitism_never_loses_the_best():
     res = ga_run(toy_line_problem(), CFG, pop_size=8, generations=10, seed=5)
     best = -np.inf

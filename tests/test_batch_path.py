@@ -3,7 +3,9 @@
 `Problem.evaluate_raws` must give designs and outcomes equal (notes
 included) to decoding and simulating one design at a time, and every row
 it refuses must reach the scalar path through `evaluate_batch`. A problem
-whose decode or evaluate is replaced loses the array path.
+whose decode or evaluate is replaced loses the array path. Scored and
+recorded, an outcome batch must give the rewards, best designs and
+history rows that scoring one design at a time gives.
 """
 
 import dataclasses
@@ -13,9 +15,10 @@ import pytest
 
 from coredse.costmodel import CostConstants, platform_by_name
 from coredse.design import Layer, SpaceOptions, Workload
+from coredse.objective import RewardConfig, raw_objective, scalar_reward
 from coredse.problems import accelerator_problem
 from coredse.space import Categorical, ConfigurationError
-from coredse.trainer import _decode_and_eval_one, evaluate_batch
+from coredse.trainer import SearchLog, _decode_and_eval_one, _shaped_reward, evaluate_batch
 
 RESNETISH = Workload(
     "resnetish",
@@ -42,6 +45,11 @@ TOY = SpaceOptions(
 )
 
 
+def rows_of(outcomes) -> list:
+    """An outcome batch as the scalar path's (design, EvalOutcome) pairs."""
+    return [(outcomes.design(k), outcomes.outcome(k)) for k in range(len(outcomes))]
+
+
 def matches_scalar(problem, raws, batch=32) -> tuple[int, int]:
     """Assert batch == scalar over raws, in batches.
 
@@ -51,16 +59,16 @@ def matches_scalar(problem, raws, batch=32) -> tuple[int, int]:
     run = problem.array_path.run
 
     def counting(matrix):
-        out = run(matrix)
-        refused.append(sum(r is None for r in out))
-        return out
+        outcomes, left = run(matrix)
+        refused.append(int(left.sum()))
+        return outcomes, left
 
     counted = dataclasses.replace(problem, array_path=dataclasses.replace(problem.array_path, run=counting))
     anomalous = 0
     for i in range(0, len(raws), batch):
         chunk = raws[i : i + batch]
         want = [_decode_and_eval_one(problem, r) for r in chunk]
-        assert evaluate_batch(counted, chunk) == want, f"rows {i}..{i + len(chunk) - 1}"
+        assert rows_of(evaluate_batch(counted, chunk)) == want, f"rows {i}..{i + len(chunk) - 1}"
         anomalous += sum(outcome.anomalous for _, outcome in want)
     assert len(refused) == -(-len(raws) // batch)  # the array path saw every batch
     return sum(refused), anomalous
@@ -146,7 +154,7 @@ def test_rows_that_are_not_number_matrices_take_the_scalar_path():
     rows = np.random.default_rng([6]).random((4, problem.n_raw)).tolist()
     rows[1][0] = None  # float(None) raises where a NaN could decode
     for raws in (rows, [rows[0], rows[2][:-1]], [rows[0], ["0.5"] * problem.n_raw]):
-        assert evaluate_batch(problem, raws) == [_decode_and_eval_one(problem, r) for r in raws]
+        assert rows_of(evaluate_batch(problem, raws)) == [_decode_and_eval_one(problem, r) for r in raws]
 
 
 def test_int64_guard_leaves_large_layers_to_the_scalar_path():
@@ -154,7 +162,7 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     problem = accelerator_problem(big, platform_by_name("cloud"))
     assert problem.evaluate_raws is None
     raws = np.random.default_rng([5]).random((64, problem.n_raw))
-    assert evaluate_batch(problem, raws) == [_decode_and_eval_one(problem, r) for r in raws]
+    assert rows_of(evaluate_batch(problem, raws)) == [_decode_and_eval_one(problem, r) for r in raws]
     # Float bytes per element, or a bound past 2**53, leave it scalar too.
     edge = platform_by_name("edge")
     float_bytes = CostConstants(bytes_per_element=2.0)
@@ -190,5 +198,101 @@ def test_a_replaced_decode_or_evaluate_sees_every_design(field):
     assert replaced.evaluate_raws is None
     raws = np.random.default_rng([9]).random((64, problem.n_raw))
     for i in range(0, 64, 32):
-        assert evaluate_batch(replaced, raws[i : i + 32]) == evaluate_batch(problem, raws[i : i + 32])
+        chunk = raws[i : i + 32]
+        assert rows_of(evaluate_batch(replaced, chunk)) == rows_of(evaluate_batch(problem, chunk))
     assert len(calls) == 64
+
+
+# ---------------------------------------------------------------------------
+# scored and recorded batches against one design at a time
+
+
+def reference_rewards(outcomes, cfg) -> list[float]:
+    """The trainer's shaped rewards, computed from one EvalOutcome at a time."""
+    valid = [o for o in outcomes if not o.anomalous]
+    if cfg.shaping:
+        scored = [-raw_objective(o, cfg.weights) - cfg.alpha_c * o.violation_sum() for o in valid]
+        floor = min(scored, default=cfg.r_ano)
+    else:
+        scored = [cfg.no_shaping_penalty if o.violations else -raw_objective(o, cfg.weights) for o in valid]
+        floor = cfg.no_shaping_penalty
+    scored = iter(scored)
+    return [floor if o.anomalous else next(scored) for o in outcomes]
+
+
+def reference_log(batches, cfg):
+    """Best designs and history rows recorded one design at a time, as
+    `SearchLog.record` did before outcome batches."""
+    best = feasible = None
+    rows = []
+    for ep, (raws, pairs) in enumerate(batches):
+        rewards = reference_rewards([o for _, o in pairs], cfg)
+        for k, (design, o) in enumerate(pairs):
+            if o.anomalous:
+                continue
+            obj = raw_objective(o, cfg.weights)
+            if best is None or rewards[k] > best[0]:
+                best = (rewards[k], obj, design, raws[k].tobytes(), ep)
+            if o.feasible and (feasible is None or obj < feasible[1]):
+                feasible = (rewards[k], obj, design, raws[k].tobytes(), ep)
+        for k, (_, o) in enumerate(pairs):
+            best_reward = best[0] if best else float("nan")
+            rows.append(repr((ep, k, rewards[k], int(not o.anomalous), o.violation_sum(), best_reward)))
+    return best, feasible, rows
+
+
+def recorded(best):
+    return None if best is None else (best.reward, best.objective, best.design, best.raw.tobytes(), best.episode)
+
+
+def score_both_ways(problem, raws, cfg, batch=32):
+    """Assert the outcome batch's rewards, best designs and history rows equal
+    those scored one design at a time; return the batches' anomalous count."""
+    log, batches, anomalous = SearchLog(), [], 0
+    for ep, i in enumerate(range(0, len(raws), batch)):
+        chunk = raws[i : i + batch]
+        pairs = [_decode_and_eval_one(problem, r) for r in chunk]
+        outcomes = evaluate_batch(problem, chunk)
+        rewards = _shaped_reward(outcomes, cfg)
+        assert rewards.tobytes() == np.array(reference_rewards([o for _, o in pairs], cfg)).tobytes()
+        fitness = np.where(outcomes.anomalous, cfg.r_ano, scalar_reward(outcomes, cfg))
+        if cfg.shaping:  # the baselines' fitness is the shaped reward on valid designs
+            valid = ~outcomes.anomalous
+            assert fitness[valid].tobytes() == rewards[valid].tobytes()
+        log.record(ep, chunk, outcomes, rewards, cfg.weights, np.nan)
+        batches.append((chunk, pairs))
+        anomalous += int(outcomes.anomalous.sum())
+    best, feasible, rows = reference_log(batches, cfg)
+    assert recorded(log.best) == best and recorded(log.best_feasible) == feasible
+    got = [repr(tuple(r.values())) for r in log.history_rows()]
+    assert got == rows
+    return anomalous
+
+
+SCORED = RewardConfig(weights=(-1e-6, -1e-9), alpha_c=3.0)
+
+
+@pytest.mark.parametrize("shaping", [True, False])
+def test_scaled_decode_scores_as_one_design_at_a_time(shaping):
+    problem = accelerator_problem(RESNETISH, platform_by_name("edge"), NARROW)
+    raws = np.random.default_rng([10]).random((512, problem.n_raw))
+    raws[5::37, 3] = np.nan  # decode raises: rows the array path refuses
+    cfg = dataclasses.replace(SCORED, shaping=shaping)
+    assert score_both_ways(problem, raws, cfg) == len(range(5, 512, 37))
+
+
+@pytest.mark.parametrize("shaping", [True, False])
+def test_unscaled_decode_scores_as_one_design_at_a_time(shaping):
+    # gate 5's no-scaling space: structurally invalid designs come back anomalous
+    problem = accelerator_problem(TOY_WL, platform_by_name("cloud"), TOY, use_scaling=False)
+    raws = np.random.default_rng([11]).random((512, problem.n_raw))
+    cfg = RewardConfig(weights=(-1.0, -1e-3), alpha_c=5e4, shaping=shaping)
+    assert 0 < score_both_ways(problem, raws, cfg) < len(raws)
+
+
+def test_a_problem_without_an_array_path_scores_as_one_design_at_a_time():
+    problem = accelerator_problem(RESNETISH, platform_by_name("edge"), NARROW)
+    replaced = dataclasses.replace(problem, decode=lambda raw: problem.decode(raw))
+    assert replaced.evaluate_raws is None
+    raws = np.random.default_rng([12]).random((256, problem.n_raw))
+    score_both_ways(replaced, raws, SCORED)

@@ -5,6 +5,7 @@ import pytest
 
 from coredse.objective import (
     EvalOutcome,
+    OutcomeBatch,
     RewardConfig,
     Violation,
     advantages,
@@ -93,31 +94,68 @@ def test_reward_config_validation():
 # reward terms
 
 
+def batch(*outcomes) -> OutcomeBatch:
+    return OutcomeBatch.of((None, o) for o in outcomes)
+
+
 def test_scalar_reward_is_weighted_metrics_minus_penalty():
     cfg = RewardConfig(weights=(-1.0, -0.5), alpha_c=10.0)
     out = EvalOutcome.ok((100.0, 50.0), (Violation("area", 0.2), Violation("l2", 0.3)))
     # -100 - 25 - 10 * 0.5
-    assert abs(scalar_reward(out, cfg) - (-130.0)) < 1e-12
-    assert abs(scalar_reward(EvalOutcome.ok((100.0, 50.0)), cfg) - (-125.0)) < 1e-12
+    got = scalar_reward(batch(out, EvalOutcome.ok((100.0, 50.0))), cfg)
+    assert np.allclose(got, [-130.0, -125.0], rtol=0.0, atol=1e-12)
 
 
 def test_penalty_reward_collapses_violations():
     cfg = RewardConfig(weights=(-1.0, 0.0), no_shaping_penalty=-7e8)
     clean = EvalOutcome.ok((42.0, 9.0))
     dirty = EvalOutcome.ok((42.0, 9.0), (Violation("area", 1e-6),))
-    assert penalty_reward(clean, cfg) == -42.0
-    assert penalty_reward(dirty, cfg) == -7e8
+    assert penalty_reward(batch(clean, dirty), cfg).tolist() == [-42.0, -7e8]
 
 
-def test_reward_terms_reject_anomalous_outcomes():
+def test_reward_terms_are_nan_on_anomalous_rows():
     cfg = RewardConfig(weights=(-1.0,))
-    bad = EvalOutcome.failed()
+    mixed = batch(EvalOutcome.failed(), EvalOutcome.ok((2.0,)))
+    for reward in (scalar_reward, penalty_reward):
+        got = reward(mixed, cfg)
+        assert np.isnan(got[0]) and got[1] == -2.0
+        assert np.isnan(reward(batch(EvalOutcome.failed()), cfg)).all()
     with pytest.raises(ValueError):
-        scalar_reward(bad, cfg)
-    with pytest.raises(ValueError):
-        penalty_reward(bad, cfg)
-    with pytest.raises(ValueError):
-        raw_objective(bad, (-1.0,))
+        raw_objective(EvalOutcome.failed(), (-1.0,))
+    with pytest.raises(ValueError, match="1 metrics vs 2 weights"):
+        scalar_reward(mixed, RewardConfig(weights=(-1.0, 0.0)))
+
+
+def test_batch_rewards_are_bit_equal_to_one_design_at_a_time():
+    # weighted sums add one metric at a time from 0.0, and residual sums one
+    # constraint at a time, for a batch as for one design
+    rng = np.random.default_rng(3)
+    names = ("area", "l1", "l2")
+    outcomes = []
+    for _ in range(300):
+        hits = [Violation(n, float(rng.uniform(1e-3, 1e3))) for n in names if rng.random() < 0.5]
+        outcomes.append(EvalOutcome.ok(rng.uniform(-1e6, 1e6, size=3), hits))
+    cfg = RewardConfig(weights=tuple(rng.uniform(-2.0, 2.0, size=3)), alpha_c=float(rng.uniform(0.1, 10.0)))
+    b = batch(*outcomes)
+    assert b.violation_sums().tobytes() == np.array([o.violation_sum() for o in outcomes]).tobytes()
+    want = [-raw_objective(o, cfg.weights) - cfg.alpha_c * o.violation_sum() for o in outcomes]
+    assert scalar_reward(b, cfg).tobytes() == np.array(want).tobytes()
+
+
+def test_outcome_batch_keeps_each_outcomes_violation_order():
+    rows = [
+        EvalOutcome.ok((1.0,), [Violation("l1", 0.1)]),
+        EvalOutcome.ok((1.0,), [Violation("area", 0.2), Violation("l1", 0.3)]),
+        EvalOutcome.ok((1.0,), [Violation("l2", 0.4)]),
+        EvalOutcome.ok((1.0,), [Violation("l1", 0.5), Violation("l2", 0.6)]),
+        EvalOutcome.failed("no model"),
+    ]
+    b = batch(*rows)
+    assert b.names == ("area", "l1", "l2")
+    assert [b.outcome(k) for k in range(len(rows))] == rows
+    assert b.feasible.tolist() == [False] * 5 and b.notes == {4: "no model"}
+    with pytest.raises(ValueError, match="metrics in one batch"):
+        batch(EvalOutcome.ok((1.0,)), EvalOutcome.ok((1.0, 2.0)))
 
 
 def test_advantages_leave_one_out():

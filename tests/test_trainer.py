@@ -5,7 +5,7 @@ import pytest
 
 from coredse import trainer as trainer_module
 from coredse.baselines import ga_run
-from coredse.objective import EvalOutcome, RewardConfig, Violation
+from coredse.objective import EvalOutcome, OutcomeBatch, RewardConfig, Violation
 from coredse.costmodel import platform_by_name
 from coredse.problems import Problem, accelerator_problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
@@ -18,12 +18,13 @@ from coredse.trainer import (
     PolicyConfig,
     SearchLog,
     TrainConfig,
+    config_digest,
     entropy_coefficient,
     evaluate_batch,
     load_checkpoint,
     save_checkpoint,
     train,
-    _action_hash,
+    _action_hashes,
     _adam_ascend,
     _fresh_state,
     _LoopState,
@@ -132,7 +133,9 @@ def test_fresh_weights_do_not_share_episode_zeros_stream():
 def test_evaluate_batch_preserves_slot_order():
     p = toy_line_problem()
     raws = [np.array([x]) for x in (0.01, 0.99, 0.5, 0.25)]
-    assert [d for d, _ in evaluate_batch(p, raws)] == [0, 15, 8, 4]
+    outcomes = evaluate_batch(p, raws)
+    assert [outcomes.design(k) for k in range(4)] == [0, 15, 8, 4]
+    assert outcomes.metrics[:, 0].tolist() == [7.0, 8.0, 1.0, 3.0]
 
 
 def test_evaluate_batch_wraps_decode_errors():
@@ -144,9 +147,10 @@ def test_evaluate_batch_wraps_decode_errors():
         return 1
 
     p = Problem("half-broken", space, decode, lambda d: EvalOutcome.ok((1.0,)))
-    (d0, o0), (d1, o1) = evaluate_batch(p, [np.array([0.1]), np.array([0.9])])
-    assert not o0.anomalous
-    assert d1 is None and o1.anomalous and o1.note.startswith("decode:")
+    outcomes = evaluate_batch(p, [np.array([0.1]), np.array([0.9])])
+    assert outcomes.anomalous.tolist() == [False, True]
+    assert outcomes.design(1) is None and outcomes.notes[1].startswith("decode:")
+    assert list(outcomes.notes) == [1]  # notes for anomalous rows only
 
 
 def test_evaluate_batch_wraps_evaluator_errors():
@@ -156,9 +160,9 @@ def test_evaluate_batch_wraps_evaluator_errors():
         raise RuntimeError("model blew up")
 
     p = Problem("hot", space, lambda raw: 3, evaluate)
-    ((design, outcome),) = evaluate_batch(p, [np.array([0.2])])
-    assert design == 3
-    assert outcome.anomalous and outcome.note == "evaluate: model blew up"
+    outcomes = evaluate_batch(p, [np.array([0.2])])
+    assert outcomes.design(0) == 3
+    assert outcomes.anomalous.tolist() == [True] and outcomes.notes == {0: "evaluate: model blew up"}
 
 
 def test_evaluate_batch_calls_the_hooked_name_once_per_batch(monkeypatch):
@@ -280,7 +284,7 @@ def test_anomalous_designs_score_the_lowest_valid_reward_of_their_batch():
             else:
                 hits = [Violation("area", rng.uniform(0.01, 2.0))] if rng.random() < 0.3 else []
                 outcomes.append(EvalOutcome.ok(rng.uniform(-1e3, 1e6, size=2), hits))
-        rewards = _shaped_reward(outcomes, cfg)
+        rewards = _shaped_reward(OutcomeBatch.of((None, o) for o in outcomes), cfg)
         anomalous = np.array([o.anomalous for o in outcomes])
         if anomalous.all():
             assert (rewards == cfg.r_ano).all()
@@ -332,7 +336,7 @@ def test_search_log_records_a_hand_built_batch():
     rewards = np.array([-4.0, 2.0, 10.0, -4.0, 2.0])
     raws = np.arange(5.0).reshape(5, 1)
     log = SearchLog()
-    log.record(7, raws, results, rewards, (-1.0,), 0.5)
+    log.record(7, raws, OutcomeBatch.of(results), rewards, (-1.0,), 0.5)
 
     assert (log.best.design, log.best.reward, log.best.objective, log.best.episode) == ("b", 2.0, 1.0, 7)
     assert (log.best_feasible.design, log.best_feasible.objective) == ("a", 4.0)
@@ -345,7 +349,7 @@ def test_search_log_records_a_hand_built_batch():
     assert (report.episode, report.beta_e, report.best_reward) == (7, 0.5, 2.0)
 
     # A later batch that only ties keeps both earlier designs.
-    log.record(8, raws[:1], [("f", ok)], np.array([2.0]), (-1.0,), 0.5)
+    log.record(8, raws[:1], OutcomeBatch.of([("f", ok)]), np.array([2.0]), (-1.0,), 0.5)
     assert log.best.design == "b" and log.best_feasible.design == "a"
     assert log.samples_used == 6 and len(list(log.history_rows())) == 6
 
@@ -439,7 +443,7 @@ def test_episode_draws_from_its_episode_generator(monkeypatch):
     assert len(policies) == len(res.history) == 6
     for ep, (dists, report) in enumerate(zip(policies, res.history)):
         want = sample(dists, np.random.default_rng([cfg.seed, ep]), cfg.batch_size)
-        assert report.action_hashes == tuple(_action_hash(raw) for raw in want)
+        assert report.action_hashes == _action_hashes(want)
 
 
 def test_resumed_run_draws_the_straight_runs_matrices(tmp_path, monkeypatch):
@@ -484,17 +488,19 @@ def test_train_refuses_a_state_of_other_shapes(policy, problem):
     assert state.episode == 2 and len(state.history) == 2  # refused before the state was touched
 
 
-def test_resumed_best_that_meets_the_target_stops_after_one_episode(tmp_path):
+def test_resumed_best_that_meets_the_target_stops_after_one_episode(tmp_path, monkeypatch):
     p = toy_line_problem()
-    r1 = train(p, line_cfg(max_episodes=3))
+    cfg = line_cfg(max_episodes=10)
+    first_leg = interrupted_run(p, cfg, 3, monkeypatch)
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, r1.state)
+    save_checkpoint(path, first_leg)
     # Resumed on a line whose designs all lie 85 or more from its target, so
-    # only the carried-in best can meet a target set at its objective.
+    # only the carried-in best can meet a target set at its objective. The
+    # target is no part of the config digest: it only decides where a run stops.
     far = toy_line_problem(target=100)
     state = load_checkpoint(path, far)
     cfg = line_cfg(max_episodes=10, target_objective=state.best_feasible.objective)
-    res = train(far, cfg, state=state, history=r1.history)
+    res = train(far, cfg, state=state, history=first_leg.history)
     assert res.status == "target_reached" and res.episodes_run == 4
     assert len(res.history) == 4 and res.samples_used == 32
 
@@ -553,6 +559,42 @@ def test_checkpoint_refuses_another_scalar_layout(tmp_path):
         load_checkpoint(old, toy_line_problem())
 
 
+def test_resume_under_a_larger_budget_is_refused(tmp_path):
+    # a larger budget re-times the entropy schedule: a 5-episode leg ends at
+    # beta_e_end, and 10 episodes would put its episode 5 back near the start
+    p = toy_line_problem()
+    short = line_cfg(max_episodes=10, sample_budget=40)
+    first = train(p, short)
+    assert first.episodes_run == 5 and first.history[-1].beta_e == pytest.approx(short.reward.beta_e_end)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, first.state)
+    longer = line_cfg(max_episodes=10, sample_budget=80)
+    assert entropy_coefficient(5, longer) > 0.4
+    for state in (first.state, load_checkpoint(path, p)):
+        with pytest.raises(ValueError, match="another config|config.*cfg's"):
+            train(p, longer, state=state, history=first.history)
+    assert first.state.episode == 5 and len(first.state.history) == 5  # refused before the state was touched
+    # anything else in the config counts too; the target does not
+    for other in (dict(learning_rate=2e-2), dict(seed=1), dict(reward=RewardConfig(weights=(-2.0,)))):
+        with pytest.raises(ValueError):
+            train(p, line_cfg(max_episodes=10, sample_budget=40, **other), state=load_checkpoint(path, p))
+    res = train(p, line_cfg(max_episodes=10, sample_budget=40, target_objective=0.5), state=load_checkpoint(path, p))
+    assert res.episodes_run == 5
+
+
+def test_checkpoint_without_a_config_digest_is_refused(tmp_path):
+    res = train(toy_line_problem(), line_cfg(max_episodes=2))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, res.state)
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files if k != "config"}
+    old = tmp_path / "old.npz"
+    np.savez(old, **payload)
+    with pytest.raises(ValueError, match="no config digest"):
+        load_checkpoint(old, toy_line_problem())
+    assert load_checkpoint(path, toy_line_problem()).config == config_digest(line_cfg(max_episodes=2))
+
+
 # ---------------------------------------------------------------------------
 # the in-place Adam step against the whole-array expression
 
@@ -592,6 +634,7 @@ def test_adam_step_matches_whole_array_reference(tmp_path):
         params=params,
         adam_m=[np.zeros_like(a) for a in params.arrays()],
         adam_v=[np.zeros_like(a) for a in params.arrays()],
+        config=config_digest(line_cfg()),
         adam_step=0,
         episode=0,
         samples_used=0,
