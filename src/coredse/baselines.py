@@ -72,12 +72,29 @@ def _score_batch(result: BaselineResult, problem: Problem, cfg: RewardConfig, ge
     return fitness
 
 
-def check_ga_args(pop_size: int, generations: int = 0) -> None:
-    """ValueError unless `ga_run` can breed pop_size designs for generations rounds."""
+def check_ga_args(
+    pop_size: int,
+    generations: int = 0,
+    tournament_k: int = 1,
+    crossover_rate: float = 0.0,
+    mutation_rate: float = 0.0,
+    mutation_sigma: float = 0.0,
+    elitism: int = 0,
+) -> None:
+    """ValueError unless `ga_run` can breed pop_size designs for generations
+    rounds with these arguments; each defaults to its least demanding value."""
     if pop_size < 2:
         raise ValueError("pop_size must be >= 2")
     if generations < 0:
         raise ValueError("generations must be >= 0")
+    if tournament_k < 1:
+        raise ValueError("tournament_k must be >= 1")
+    if not (0.0 <= crossover_rate <= 1.0 and 0.0 <= mutation_rate <= 1.0):
+        raise ValueError("crossover_rate and mutation_rate must be in [0, 1]")
+    if not mutation_sigma >= 0.0:
+        raise ValueError("mutation_sigma must be >= 0")
+    if not 0 <= elitism < pop_size:
+        raise ValueError(f"elitism must be in 0..pop_size-1 ({pop_size - 1}), got {elitism}")
 
 
 def ga_run(
@@ -94,7 +111,7 @@ def ga_run(
 ) -> BaselineResult:
     """Generational GA, a generation at a time (see the module docstring);
     consumes exactly pop_size * (generations + 1) evaluations."""
-    check_ga_args(pop_size, generations)
+    check_ga_args(pop_size, generations, tournament_k, crossover_rate, mutation_rate, mutation_sigma, elitism)
     n = problem.n_raw
     rng = np.random.default_rng([seed])
     result = BaselineResult(method="ga")

@@ -90,7 +90,7 @@ def _ga_kwargs(**values) -> dict:
     """GA_DEFAULTS overridden by ``values``, each cast to its default's type,
     after `ga_run`'s own argument check."""
     kwargs = {k: type(d)(values.get(k, d)) for k, d in GA_DEFAULTS.items()}
-    check_ga_args(kwargs["pop_size"])
+    check_ga_args(**kwargs)
     return kwargs
 
 

@@ -15,6 +15,11 @@ relevant loop, so
 with trips(d) = ceil(outer_d / tile_d) and pos(tau) the innermost
 position among tau's index dimensions (weights: K,C,R,S; inputs: C,X,Y;
 outputs: K,X,Y -- output spatial sizes are approximated by input tiles).
+
+`simulate` prices one design and checks its structure first;
+`make_batch_evaluator` prices a whole `DesignBatch` of designs already
+checked valid (`design.valid_rows`) in int64 arrays, and `simulate` is its
+oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DIM_INDEX, DesignBatch, DesignConfig, Layer, Workload, valid_rows, validate_config
+from .design import DIM_INDEX, DesignBatch, DesignConfig, Layer, Workload, validate_config
 from .objective import EvalOutcome, OutcomeBatch, Violation
 from .space import EXACT_INT
 
@@ -221,14 +226,13 @@ def _int64_exact(workload: Workload, platform: Platform, consts: CostConstants) 
 
 
 def make_batch_evaluator(workload: Workload, platform: Platform, consts: CostConstants = CostConstants()):
-    """simulate() over a DesignBatch, or None where int64 pricing could differ from it.
+    """simulate() over a DesignBatch of valid designs, or None where int64
+    pricing could differ from it.
 
-    The evaluator takes a batch and a mask of the rows to price, and returns
-    an OutcomeBatch and a mask of the rows it left. A priced row's metrics
-    and residuals are simulate()'s for that row's design; a row is left
-    where the mask is False or `valid_rows` fails it (simulate() names what
-    is wrong), and is marked anomalous, with no note, until the scalar path
-    fills it. Arrays run over rows x layers x levels x tensors.
+    The evaluator takes a batch whose every row passes `valid_rows` (the
+    caller checks) and returns its OutcomeBatch: row for row the metrics
+    and residuals simulate() gives. Arrays run over rows x layers x levels
+    x tensors.
     """
     if not _int64_exact(workload, platform, consts):
         return None
@@ -238,38 +242,27 @@ def make_batch_evaluator(workload: Workload, platform: Platform, consts: CostCon
     bw = np.asarray([[consts.bw_l2_bytes_per_cycle], [consts.bw_dram_bytes_per_cycle]])  # per level
     budget = platform.area_budget_mm2
 
-    def evaluate(batch: DesignBatch, priced: np.ndarray) -> tuple[OutcomeBatch, np.ndarray]:
-        ok = priced & valid_rows(batch, workload)
-        rows = np.flatnonzero(ok)
-        metrics = np.full((len(ok), 2), np.nan)
-        residuals = np.zeros((len(ok), len(_CONSTRAINTS)))
-        if rows.size:
-            b = batch if rows.size == len(ok) else batch.take(rows)
-            tiles = b.tiles
-            # Level 1 tiles level-2 tiles; level 2 tiles the layer.
-            outer = np.stack([tiles[:, :, 1], np.broadcast_to(dims, tiles[:, :, 1].shape)], axis=2)
-            trips = -(-outer // tiles)
-            pos = np.argsort(b.order, axis=-1)  # each dim's loop position
-            pos_tau = np.where(_REL_MASK, pos[..., None, :], -1).max(axis=-1)
-            counted = pos[..., None, :] <= pos_tau[..., None]
-            factor = np.where(counted, trips[..., None, :], 1).prod(axis=-1)
-            volume = np.where(_REL_MASK, tiles[..., None, :], 1).prod(axis=-1)  # (rows, L, level, tensor)
-            traffic = bpe * volume * factor
-            mem = (-(-traffic // bw)).sum(axis=(2, 3))
-            speedup = np.minimum(b.parallelism.prod(axis=-1), b.n_pe[:, None])
-            latency = np.maximum(-(-macs // speedup), mem)
-            footprint = bpe * volume.sum(axis=-1)
-            area = b.n_pe * consts.area_per_pe_mm2 + (b.n_pe * b.l1_bytes + b.l2_bytes) * consts.area_per_byte_mm2
-            metrics[rows, 0] = latency.sum(axis=1) / len(dims)
-            metrics[rows, 1] = area * 1e6
-            # In _CONSTRAINTS order: simulate()'s value and cap of each.
-            checks = (
-                (area, budget),
-                (footprint[:, :, 0].max(axis=1), b.l1_bytes),
-                (footprint[:, :, 1].max(axis=1), b.l2_bytes),
-            )
-            for j, (value, cap) in enumerate(checks):
-                residuals[rows, j] = np.where(value > cap, (value - cap) / cap, 0.0)
-        return OutcomeBatch(metrics, residuals, _CONSTRAINTS, ~ok, designs=batch), ~ok
+    def evaluate(batch: DesignBatch) -> OutcomeBatch:
+        tiles = batch.tiles
+        # Level 1 tiles level-2 tiles; level 2 tiles the layer.
+        outer = np.stack([tiles[:, :, 1], np.broadcast_to(dims, tiles[:, :, 1].shape)], axis=2)
+        trips = -(-outer // tiles)
+        pos = np.argsort(batch.order, axis=-1)  # each dim's loop position
+        pos_tau = np.where(_REL_MASK, pos[..., None, :], -1).max(axis=-1)
+        counted = pos[..., None, :] <= pos_tau[..., None]
+        factor = np.where(counted, trips[..., None, :], 1).prod(axis=-1)
+        volume = np.where(_REL_MASK, tiles[..., None, :], 1).prod(axis=-1)  # (rows, L, level, tensor)
+        traffic = bpe * volume * factor
+        mem = (-(-traffic // bw)).sum(axis=(2, 3))
+        speedup = np.minimum(batch.parallelism.prod(axis=-1), batch.n_pe[:, None])
+        latency = np.maximum(-(-macs // speedup), mem)
+        footprint = bpe * volume.sum(axis=-1)
+        n_pe, l1, l2 = batch.n_pe, batch.l1_bytes, batch.l2_bytes
+        area = n_pe * consts.area_per_pe_mm2 + (n_pe * l1 + l2) * consts.area_per_byte_mm2
+        metrics = np.stack([latency.sum(axis=1) / len(dims), area * 1e6], axis=1)
+        # In _CONSTRAINTS order: simulate()'s value and cap of each.
+        checks = ((area, budget), (footprint[:, :, 0].max(axis=1), l1), (footprint[:, :, 1].max(axis=1), l2))
+        residuals = np.stack([np.where(value > cap, (value - cap) / cap, 0.0) for value, cap in checks], axis=1)
+        return OutcomeBatch(metrics, residuals, _CONSTRAINTS, np.zeros(len(metrics), dtype=bool), designs=batch)
 
     return evaluate

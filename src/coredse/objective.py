@@ -1,9 +1,10 @@
 """Outcomes, rewards, advantages, and the on-policy surrogate objective.
 
 A scored batch is one `OutcomeBatch`: metrics, constraint residuals, an
-anomalous mask and notes as arrays, one row a design.  `EvalOutcome` is
-what a problem's scalar `evaluate` returns for one design; the scalar path
-fills an `OutcomeBatch` from those (`OutcomeBatch.of`).
+anomalous mask and notes as arrays, one row a design.  A problem's array
+path builds it whole; otherwise the scalar path builds it from the
+`EvalOutcome` that a problem's `evaluate` returns for each design
+(`OutcomeBatch.of`).  No batch mixes the two.
 
 Reward shaping: a valid design scores the weighted metric sum minus
 alpha_c times the summed positive constraint residuals (`scalar_reward`,
@@ -116,9 +117,9 @@ class OutcomeBatch:
     names: the c constraint names
     anomalous: (B,) bool
     notes: row -> note, for anomalous rows only
-    designs: the array path's `DesignBatch`, or None; a row's design is
-        built from it only when asked for (`design`)
-    scalar_designs: row -> design, for the rows the scalar path decoded
+    designs: the array path's `DesignBatch`, from which a row's design is
+        built only when asked for (`design`), or the scalar path's list of
+        designs, one a row
     """
 
     metrics: np.ndarray
@@ -127,7 +128,6 @@ class OutcomeBatch:
     anomalous: np.ndarray
     notes: dict[int, str] = field(default_factory=dict)
     designs: Any = None
-    scalar_designs: dict[int, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.anomalous)
@@ -159,34 +159,7 @@ class OutcomeBatch:
                 metrics[k] = o.metrics
             for v in o.violations:
                 residuals[k, column[v.name]] += v.residual
-        designs = {k: design for k, (design, _) in enumerate(pairs)}
-        return OutcomeBatch(metrics, residuals, names, anomalous, notes, scalar_designs=designs)
-
-    def merged(self, rows, other: "OutcomeBatch") -> "OutcomeBatch":
-        """This batch with other's row j in place of row rows[j]."""
-        rows = [int(i) for i in rows]
-        names = self.names + tuple(n for n in other.names if n not in self.names)
-        residuals = np.zeros((len(self), len(names)))
-        residuals[:, : len(self.names)] = self.residuals
-        residuals[rows] = 0.0
-        for j, name in enumerate(other.names):
-            residuals[rows, names.index(name)] = other.residuals[:, j]
-        metrics = self.metrics.copy()
-        if other.metrics.shape[1] == metrics.shape[1]:
-            metrics[rows] = other.metrics
-        elif other.anomalous.all():
-            metrics[rows] = np.nan
-        else:
-            widths = (metrics.shape[1], other.metrics.shape[1])
-            raise ValueError(f"outcomes with {list(widths)} metrics in one batch")
-        anomalous = self.anomalous.copy()
-        anomalous[rows] = other.anomalous
-        taken = set(rows)
-        notes = {k: n for k, n in self.notes.items() if k not in taken}
-        notes.update((rows[j], n) for j, n in other.notes.items())
-        designs = {k: d for k, d in self.scalar_designs.items() if k not in taken}
-        designs.update((rows[j], d) for j, d in other.scalar_designs.items())
-        return OutcomeBatch(metrics, residuals, names, anomalous, notes, self.designs, designs)
+        return OutcomeBatch(metrics, residuals, names, anomalous, notes, [design for design, _ in pairs])
 
     @property
     def feasible(self) -> np.ndarray:
@@ -213,9 +186,9 @@ class OutcomeBatch:
         return total
 
     def design(self, row: int):
-        """The design of one row: as the scalar path decoded it, or built from `designs`."""
-        if row in self.scalar_designs:
-            return self.scalar_designs[row]
+        """The design of one row: as the scalar path decoded it, or built from the `DesignBatch`."""
+        if isinstance(self.designs, list):
+            return self.designs[row]
         return self.designs.take([row]).configs()[0]
 
     def outcome(self, row: int) -> EvalOutcome:

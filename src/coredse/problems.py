@@ -6,10 +6,14 @@ their side. A problem may also carry an array path that decodes and
 evaluates a whole raw matrix at once into an `OutcomeBatch`: metrics and
 constraint residuals as arrays, with the designs kept as a `DesignBatch`
 and a `DesignConfig` built only for a row that is asked for (a best design,
-say). `decode` and `evaluate` stay its reference, and the path for every
-row it refuses, whose outcome they fill into the same batch. The array
-path is tied to the `decode` and `evaluate` it reproduces: a copy of the
-problem with either replaced (a wrapper, a cache, another model) has none.
+say). The array path prices a whole batch or declines it: where any row
+fails to decode or breaks a structural rule, it gives None and the whole
+batch goes through `decode` and `evaluate` one design at a time, which
+stay its reference and name what is wrong. On the shipped spaces the
+scaling decode never gives such a row, so there only the unscaled
+ablation declines batches. The array path is tied to the `decode` and
+`evaluate` it reproduces: a copy of the problem with either replaced (a
+wrapper, a cache, another model) has none.
 """
 
 from __future__ import annotations
@@ -20,20 +24,20 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .costmodel import CostConstants, Platform, make_batch_evaluator, make_evaluator
-from .design import CoDesignSpace, DesignConfig, SpaceOptions, Workload
+from .design import CoDesignSpace, DesignConfig, SpaceOptions, Workload, valid_rows
 from .objective import EvalOutcome, OutcomeBatch
 from .space import ConfigurationError, ParameterSpace, decode_values, space_cardinality
 
-RawsRun = Callable[[np.ndarray], "tuple[OutcomeBatch, np.ndarray]"]
+RawsRun = Callable[[np.ndarray], "OutcomeBatch | None"]
 
 
 @dataclass(frozen=True)
 class ArrayPath:
     """A whole-batch decode-then-evaluate and the two callables it reproduces.
 
-    run: (B, n) raw matrix -> (outcomes, refused). Each row not refused
-        holds what evaluate(decode(raw)) gives; a refused row is the scalar
-        path's to fill.
+    run: (B, n) raw matrix -> the batch's outcomes, row for row what
+        evaluate(decode(raw)) gives, or None where the scalar path must
+        take the batch.
     """
 
     decode: Callable[[Sequence[float]], Any]
@@ -96,25 +100,16 @@ def accelerator_problem(
     def describe(config: DesignConfig) -> dict:
         return config.to_dict()
 
-    run = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts), evaluate)
+    run = _raws_evaluator(codesign, use_scaling, make_batch_evaluator(workload, platform, consts))
     path = None if run is None else ArrayPath(decode, evaluate, run)
     return Problem(name, codesign.space, decode, evaluate, describe, codesign=codesign, array_path=path)
 
 
-def evaluate_caught(evaluate: Callable[[Any], EvalOutcome], design) -> EvalOutcome:
-    """evaluate(design), with an error caught into an anomalous outcome."""
-    try:
-        return evaluate(design)
-    except Exception as exc:
-        return EvalOutcome.failed(f"evaluate: {exc}")
-
-
-def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate) -> RawsRun | None:
+def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price) -> RawsRun | None:
     """accelerator_problem's array path, or None where it could not match decode-then-evaluate.
 
-    A row is refused where decode raises; the scalar path then gives its
-    exact note. A decoded design that breaks a structural rule goes to the
-    scalar evaluate, which names the rule.
+    It declines a batch (gives None) where a row fails to decode or fails
+    `valid_rows`; the scalar path then gives each row's exact note.
     """
     if price is None:
         return None
@@ -123,14 +118,11 @@ def _raws_evaluator(codesign: CoDesignSpace, use_scaling: bool, price, evaluate)
     except ConfigurationError:  # a bound beyond the exact int64 range
         return None
 
-    def evaluate_raws(raws: np.ndarray) -> tuple[OutcomeBatch, np.ndarray]:
+    def evaluate_raws(raws: np.ndarray) -> OutcomeBatch | None:
         batch, decoded = decode_batch(raws)
-        outcomes, left = price(batch, decoded)
-        rows = np.flatnonzero(left & decoded)
-        if rows.size:
-            invalid = [(d, evaluate_caught(evaluate, d)) for d in batch.take(rows).configs()]
-            outcomes = outcomes.merged(rows, OutcomeBatch.of(invalid))
-        return outcomes, ~decoded
+        if not decoded.all() or not valid_rows(batch, codesign.workload).all():
+            return None
+        return price(batch)
 
     return evaluate_raws
 

@@ -19,15 +19,16 @@ number, the batch size and the episode's policy, and a resumed run draws
 what a straight run draws. `sample` must stay a name in this module's
 globals: perfbench wraps `trainer.sample` for its sampling span.
 
-A batch is decoded and evaluated by `evaluate_batch`, through the
-problem's array path where it has one, into one `OutcomeBatch` (metrics,
-residuals, anomalous mask and notes as arrays). Shaping and
-`SearchLog.record` read those arrays; `record` builds a design object only
-for a row that becomes a best design, and the target check reads the
-recorded best. Its body is `_decode_and_eval`,
-and that name must stay: perfbench ends its set-up clock at the first
-call of it, looked up in this module's globals, and a baselines run that
-never calls it fails. So must `scalar_reward` and `_shaped_reward`, which
+A batch is decoded and evaluated by `evaluate_batch` into one
+`OutcomeBatch` (metrics, residuals, anomalous mask and notes as arrays):
+the problem's array path builds it whole, or, where the problem has none
+or its array path declines the batch, the scalar path builds it one design
+at a time. Shaping and `SearchLog.record` read those arrays; `record`
+builds a design object only for a row that becomes a best design, and the
+target check reads the recorded best. Its body is `_decode_and_eval`, and
+that name must stay: perfbench ends its set-up clock at the first call of
+it, looked up in this module's globals, and a baselines run that never
+calls it fails. So must `scalar_reward` and `_shaped_reward`, which
 perfbench times as reward shaping.
 A checkpoint records `config_digest` of the config its run started under,
 and `train` resumes a state only under a config of the same digest.
@@ -61,7 +62,7 @@ from .policy import (
     mlp_backward,
     sample,
 )
-from .problems import Problem, evaluate_caught
+from .problems import Problem
 
 __all__ = [
     "PolicyConfig",
@@ -129,7 +130,6 @@ class EpisodeReport:
     rewards: np.ndarray  # (B,) float64
     valid: np.ndarray  # (B,) bool, False where the outcome was anomalous
     violation_sums: np.ndarray  # (B,) float64
-    action_hashes: tuple[str, ...]
 
     @property
     def mean_reward(self) -> float:
@@ -197,7 +197,6 @@ class SearchLog:
                 rewards=rewards,
                 valid=valid,
                 violation_sums=outcomes.violation_sums(),
-                action_hashes=_action_hashes(raws),
             )
         )
 
@@ -235,19 +234,16 @@ def entropy_coefficient(episode: int, cfg: TrainConfig) -> float:
     return r.beta_e_start + (r.beta_e_end - r.beta_e_start) * frac
 
 
-def _action_hashes(raws) -> tuple[str, ...]:
-    """Per row of the raw matrix: a digest of its float64 bytes."""
-    matrix = np.ascontiguousarray(raws, dtype=np.float64)
-    return tuple(hashlib.blake2b(row, digest_size=8).hexdigest() for row in matrix)
-
-
 def _decode_and_eval_one(problem: Problem, raw) -> tuple[Any, EvalOutcome]:
     """The scalar path for one row: decode, then evaluate, errors caught into an anomalous outcome."""
     try:
         design = problem.decode(raw)
     except Exception as exc:
         return None, EvalOutcome.failed(f"decode: {exc}")
-    return design, evaluate_caught(problem.evaluate, design)
+    try:
+        return design, problem.evaluate(design)
+    except Exception as exc:
+        return design, EvalOutcome.failed(f"evaluate: {exc}")
 
 
 def _decode_and_eval(problem: Problem, raws) -> OutcomeBatch:
@@ -260,12 +256,9 @@ def _decode_and_eval(problem: Problem, raws) -> OutcomeBatch:
             matrix = None
         # Only numbers take the array path; anything else gets the scalar path's note.
         if matrix is not None and matrix.dtype.kind in "fiu" and matrix.shape == (len(raws), problem.n_raw):
-            outcomes, refused = evaluate_raws(matrix.astype(float, copy=False))
-            rows = np.flatnonzero(refused).tolist()
-            if not rows:
+            outcomes = evaluate_raws(matrix.astype(float, copy=False))
+            if outcomes is not None:
                 return outcomes
-            refused_rows = OutcomeBatch.of(_decode_and_eval_one(problem, raws[i]) for i in rows)
-            return outcomes.merged(rows, refused_rows)
     return OutcomeBatch.of(_decode_and_eval_one(problem, raw) for raw in raws)
 
 
@@ -273,10 +266,8 @@ def evaluate_batch(problem: Problem, raws) -> OutcomeBatch:
     """Decode and evaluate a batch, in slot order, into one `OutcomeBatch`.
 
     The problem's array path (`Problem.evaluate_raws`) takes the batch where
-    it has one; every row it refuses, and every row of a problem without
-    one (or whose decode or evaluate was replaced), is decoded and
-    evaluated on its own, with errors caught into an anomalous outcome, and
-    filled into the same batch.
+    it has one and does not decline it. Otherwise every row is decoded and
+    evaluated on its own, with errors caught into an anomalous outcome.
     """
     return _decode_and_eval(problem, raws)
 

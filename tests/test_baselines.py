@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coredse.baselines import ga_run, genome_to_raw, random_search
+from coredse.baselines import check_ga_args, ga_run, genome_to_raw, random_search
 from coredse.objective import EvalOutcome, RewardConfig
 from coredse.problems import Problem, toy_line_problem
 from coredse.space import Categorical, ParameterSpace, ParamSpec, Ranged
@@ -87,6 +87,33 @@ def test_ga_validates_arguments():
         ga_run(toy_line_problem(), CFG, pop_size=1)
     with pytest.raises(ValueError):
         ga_run(toy_line_problem(), CFG, generations=-1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(elitism=8), "elitism"),
+        (dict(elitism=-1), "elitism"),
+        (dict(tournament_k=0), "tournament_k"),
+        (dict(mutation_sigma=-0.1), "mutation_sigma"),
+        (dict(mutation_sigma=float("nan")), "mutation_sigma"),
+        (dict(crossover_rate=1.5), "rate"),
+        (dict(mutation_rate=-0.1), "rate"),
+    ],
+)
+def test_ga_refuses_arguments_it_cannot_breed_with(bad, message):
+    with pytest.raises(ValueError, match=message):
+        check_ga_args(8, 2, **bad)
+    with pytest.raises(ValueError, match=message):
+        ga_run(toy_line_problem(), CFG, pop_size=8, generations=2, **bad)
+
+
+def test_ga_accepts_the_edges_of_its_argument_ranges():
+    edges = dict(tournament_k=1, crossover_rate=1.0, mutation_rate=0.0, mutation_sigma=0.0, elitism=7)
+    check_ga_args(8, 0, **edges)
+    res = ga_run(toy_line_problem(), CFG, pop_size=8, generations=2, **edges)
+    assert res.samples_used == 24
+    assert ga_run(toy_line_problem(), CFG, pop_size=8, generations=2, elitism=0).samples_used == 24
 
 
 def test_ga_is_deterministic_per_seed():

@@ -1,11 +1,13 @@
 """The array path of accelerator problems against the scalar decode and cost model.
 
 `Problem.evaluate_raws` must give designs and outcomes equal (notes
-included) to decoding and simulating one design at a time, and every row
-it refuses must reach the scalar path through `evaluate_batch`. A problem
-whose decode or evaluate is replaced loses the array path. Scored and
-recorded, an outcome batch must give the rewards, best designs and
-history rows that scoring one design at a time gives.
+included) to decoding and simulating one design at a time, and every batch
+it declines must reach the scalar path through `evaluate_batch`. It must
+decline exactly the batches with a design the scalar path finds anomalous,
+and on the benchmark's spaces no search's batch. A problem whose decode or
+evaluate is replaced loses the array path. Scored and recorded, an outcome
+batch must give the rewards, best designs and history rows that scoring
+one design at a time gives.
 """
 
 import dataclasses
@@ -18,7 +20,16 @@ from coredse.design import Layer, SpaceOptions, Workload
 from coredse.objective import RewardConfig, raw_objective, scalar_reward
 from coredse.problems import accelerator_problem
 from coredse.space import Categorical, ConfigurationError
-from coredse.trainer import SearchLog, _decode_and_eval_one, _shaped_reward, evaluate_batch
+from coredse.baselines import ga_run, random_search
+from coredse.trainer import (
+    PolicyConfig,
+    SearchLog,
+    TrainConfig,
+    _decode_and_eval_one,
+    _shaped_reward,
+    evaluate_batch,
+    train,
+)
 
 RESNETISH = Workload(
     "resnetish",
@@ -50,28 +61,33 @@ def rows_of(outcomes) -> list:
     return [(outcomes.design(k), outcomes.outcome(k)) for k in range(len(outcomes))]
 
 
-def matches_scalar(problem, raws, batch=32) -> tuple[int, int]:
-    """Assert batch == scalar over raws, in batches.
-
-    Returns the rows the array path refused and the anomalous outcomes.
-    """
-    refused = []
+def counting_declines(problem):
+    """A copy of problem whose array path notes, per batch it sees, whether it declined it."""
+    declined = []
     run = problem.array_path.run
 
     def counting(matrix):
-        outcomes, left = run(matrix)
-        refused.append(int(left.sum()))
-        return outcomes, left
+        outcomes = run(matrix)
+        declined.append(outcomes is None)
+        return outcomes
 
-    counted = dataclasses.replace(problem, array_path=dataclasses.replace(problem.array_path, run=counting))
+    return dataclasses.replace(problem, array_path=dataclasses.replace(problem.array_path, run=counting)), declined
+
+
+def matches_scalar(problem, raws, batch=32) -> tuple[int, int]:
+    """Assert batch == scalar over raws, in batches.
+
+    Returns the batches the array path declined and the anomalous outcomes.
+    """
+    counted, declined = counting_declines(problem)
     anomalous = 0
     for i in range(0, len(raws), batch):
         chunk = raws[i : i + batch]
         want = [_decode_and_eval_one(problem, r) for r in chunk]
         assert rows_of(evaluate_batch(counted, chunk)) == want, f"rows {i}..{i + len(chunk) - 1}"
         anomalous += sum(outcome.anomalous for _, outcome in want)
-    assert len(refused) == -(-len(raws) // batch)  # the array path saw every batch
-    return sum(refused), anomalous
+    assert len(declined) == -(-len(raws) // batch)  # the array path saw every batch
+    return sum(declined), anomalous
 
 
 def test_gate1_raws_match_scalar():
@@ -111,11 +127,11 @@ def test_fixed_and_narrow_spaces_match_scalar(workload, options):
     ],
 )
 def test_structurally_invalid_rows_match_scalar(options, use_scaling):
-    """Decoded designs that break a rule are not refused: the scalar evaluate names the rule."""
+    """A batch of one design that breaks a rule is declined, exactly when the scalar evaluate names a rule."""
     problem = accelerator_problem(RESNETISH, platform_by_name("edge"), options, use_scaling=use_scaling)
     raws = np.random.default_rng([3]).random((1000, problem.n_raw))
-    refused, anomalous = matches_scalar(problem, raws)
-    assert refused == 0 and anomalous > 0
+    declined, anomalous = matches_scalar(problem, raws, batch=1)
+    assert declined == anomalous > 0
 
 
 @pytest.mark.parametrize(
@@ -130,8 +146,8 @@ def test_structurally_invalid_rows_match_scalar(options, use_scaling):
 def test_a_single_broken_rule_matches_scalar(options):
     problem = accelerator_problem(TOY_WL, platform_by_name("cloud"), options, use_scaling=False)
     raws = np.random.default_rng([7]).random((1000, problem.n_raw))
-    refused, anomalous = matches_scalar(problem, raws)
-    assert refused == 0 and 0 < anomalous < len(raws)
+    declined, anomalous = matches_scalar(problem, raws, batch=1)
+    assert declined == anomalous and 0 < anomalous < len(raws)
 
 
 def test_non_finite_and_out_of_range_raws_match_scalar():
@@ -145,8 +161,8 @@ def test_non_finite_and_out_of_range_raws_match_scalar():
         raws[row, rng.integers(problem.n_raw)] = bad[k % len(bad)]
     for k, row in enumerate(range(1, 1600, 8)):
         raws[row, cats[k % len(cats)]] = (6.0, 7.5, -1.0, -0.5, 5.999)[k % 5]
-    refused, anomalous = matches_scalar(problem, raws)
-    assert 0 < refused == anomalous
+    declined, anomalous = matches_scalar(problem, raws, batch=1)
+    assert 0 < declined == anomalous
 
 
 def test_rows_that_are_not_number_matrices_take_the_scalar_path():
@@ -201,6 +217,32 @@ def test_a_replaced_decode_or_evaluate_sees_every_design(field):
         chunk = raws[i : i + 32]
         assert rows_of(evaluate_batch(replaced, chunk)) == rows_of(evaluate_batch(problem, chunk))
     assert len(calls) == 64
+
+
+@pytest.mark.parametrize(
+    "workload,platform,options,weights",
+    [(RESNETISH, "edge", NARROW, (-1e-6, 0.0)), (TOY_WL, "cloud", TOY, (-1.0, 0.0))],
+    ids=["resnet-like", "cli-default-width"],
+)
+def test_searches_on_the_benchmark_spaces_decline_no_batch(workload, platform, options, weights):
+    """The scaling decode makes every design valid, so the array path prices each batch whole."""
+    problem, declined = counting_declines(accelerator_problem(workload, platform_by_name(platform), options))
+    cfg = RewardConfig(weights=weights, alpha_c=5e4)
+    tcfg = TrainConfig(
+        batch_size=16,
+        max_episodes=128,
+        sample_budget=2048,
+        learning_rate=3e-3,
+        reward=cfg,
+        policy=PolicyConfig(input_width=64, hidden_width=256),
+    )
+    for result in (
+        train(problem, tcfg),
+        ga_run(problem, cfg, pop_size=32, generations=2048 // 32 - 1),
+        random_search(problem, cfg, budget=2048),
+    ):
+        assert result.samples_used == 2048
+    assert len(declined) == 128 + 64 + 64 and not any(declined)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +318,7 @@ SCORED = RewardConfig(weights=(-1e-6, -1e-9), alpha_c=3.0)
 def test_scaled_decode_scores_as_one_design_at_a_time(shaping):
     problem = accelerator_problem(RESNETISH, platform_by_name("edge"), NARROW)
     raws = np.random.default_rng([10]).random((512, problem.n_raw))
-    raws[5::37, 3] = np.nan  # decode raises: rows the array path refuses
+    raws[5::37, 3] = np.nan  # decode raises: the array path declines these rows' batches
     cfg = dataclasses.replace(SCORED, shaping=shaping)
     assert score_both_ways(problem, raws, cfg) == len(range(5, 512, 37))
 

@@ -316,6 +316,23 @@ def test_ga_pop_size_below_two_is_a_config_error(tmp_path, capsys, pop_size):
     assert err == "error: config section 'ga': pop_size must be >= 2\n"
 
 
+@pytest.mark.parametrize(
+    "ga, message",
+    [
+        ({"elitism": 40}, "elitism must be in 0..pop_size-1 (31), got 40"),
+        ({"pop_size": 8, "elitism": 8}, "elitism must be in 0..pop_size-1 (7), got 8"),
+        ({"tournament_k": 0}, "tournament_k must be >= 1"),
+        ({"mutation_sigma": -0.5}, "mutation_sigma must be >= 0"),
+    ],
+)
+def test_ga_arguments_it_cannot_breed_with_are_config_errors(tmp_path, capsys, ga, message):
+    train = {"batch_size": 8, "max_episodes": 4, "sample_budget": 1024}
+    path = write_setup(tmp_path, method="ga", train=train, extra={"ga": ga})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: config section 'ga': {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
