@@ -73,6 +73,9 @@ class CostConstants:
     def __post_init__(self):
         if self.bytes_per_element < 1 or self.bw_l2_bytes_per_cycle < 1 or self.bw_dram_bytes_per_cycle < 1:
             raise ValueError("cost constants must be positive")
+        # A non-finite area prices every design as anomalous on the scalar path and as valid on the array path.
+        if not (math.isfinite(self.area_per_pe_mm2) and math.isfinite(self.area_per_byte_mm2)):
+            raise ValueError("area constants must be finite")
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,8 @@ def _as_range(name: str, value) -> tuple[int, int, int]:
     if isinstance(value, int):
         return (value, value, 1)
     low, up, step = (int(v) for v in value)
+    if step < 1:
+        raise ConfigurationError(f"{name}: step must be >= 1, got {step}")
     if (up - low) % step != 0:
         raise ConfigurationError(f"{name}: span {up - low} not divisible by step {step}")
     return (low, up, step)
@@ -294,6 +296,12 @@ class SpaceOptions:
     fixed_order: tuple[str, ...] = DIMS
     fixed_parallel_dim: str = "K"
     fixed_parallelism: int = 1
+
+    def __post_init__(self):
+        for name in ("n_pe", "l1_bytes", "l2_bytes"):
+            _as_range(name, getattr(self, name))
+        if self.tile_step < 1:
+            raise ConfigurationError(f"tile_step must be >= 1, got {self.tile_step}")
 
 
 class CoDesignSpace:

@@ -32,10 +32,10 @@ exactly.  That is also PPO's clipped objective at its first step.
 The log-probabilities of a batch come from one pass (`policy.log_probs`):
 the (E, n) raw action matrix is validated once, log x and log(1 - x) are taken
 once, and the distribution set contributes its cached Beta normalisers,
-digammas and categorical probabilities.  Those caches are computed when a
-`DistributionSet` is built and rely on its arrays never being mutated
-afterwards; a changed set is a new one, from `policy.heads_from_raw` or
-`dataclasses.replace`.
+digammas and the log of its padded categorical probability matrix.  Those
+caches are computed when a `DistributionSet` is built and rely on its arrays
+never being mutated afterwards; a changed set is a new one, from
+`policy.heads_from_raw` or `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -212,6 +212,9 @@ class RewardConfig:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("RewardConfig needs at least one metric weight")
+        for name in ("weights", "alpha_c", "beta_e_start", "beta_e_end", "r_ano", "no_shaping_penalty"):
+            if not np.isfinite(getattr(self, name)).all():  # or rewards, advantages and steps turn NaN
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _merged_order(sequences) -> tuple[str, ...]:
@@ -292,8 +295,8 @@ def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
     """Closed-form gradients of `surrogate_objective` wrt head parameters, over
     an (E, n) raw action matrix.
 
-    Returns (d_alpha, d_beta, d_logits) where d_logits is one array per
-    categorical head, already chained through the softmax.
+    Returns (d_alpha, d_beta, d_logits) where d_logits, shaped as
+    `dists.cat_probs`, is already chained through the softmax.
     """
     batch, advs = _stack_batch(dists, raws, advs)
     E = advs.size
@@ -310,13 +313,10 @@ def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
     d_beta += beta_e * (-(b - 1.0) * tg_b + (ab - 2.0) * tg_ab)
 
     # Softmax heads: d log p_i / dz = onehot(i) - p, and dH/dz = p * (-log p - H).
-    d_logits = []
-    log_p = dists.flat_log_probs  # 0 where p = 0
-    for j, (p, off) in enumerate(zip(dists.cat_probs, dists.layout.cat_flat_off)):
-        g = -np.outer(coef, p)
-        g[np.arange(E), batch.cat_index[:, j]] += coef
-        lp = log_p[off : off + p.size]
-        h_head = -float(np.sum(p * lp))
-        d_logits.append(g.sum(axis=0) + beta_e * p * (-lp - h_head))
+    p, log_p = dists.cat_probs, dists.cat_log_probs  # log_p is 0 where p = 0
+    score = -coef[:, None, None] * p
+    score[np.arange(E)[:, None], np.arange(len(p)), batch.cat_index] += coef[:, None]
+    h_head = -(p * log_p).sum(axis=1, keepdims=True)
+    d_logits = score.sum(axis=0) + beta_e * p * (-log_p - h_head)
 
     return d_alpha, d_beta, d_logits

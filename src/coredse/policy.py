@@ -5,6 +5,8 @@ distribution per parameter: ranged parameters and sort keys get a
 Beta(alpha, beta) head with alpha = 1 + softplus(u), beta = 1 +
 softplus(v) (so both stay > 1 and all-zero weights give the near-uniform
 Beta(1 + ln 2, 1 + ln 2)); categorical parameters get a softmax head.
+The softmax heads are one zero-padded (n_cat, k_max) matrix, a row a head,
+and every categorical computation is one array expression over it.
 
 Gradients are computed in closed form (digamma/trigamma terms for the
 Beta heads) and pushed through the MLP by hand-written reverse mode;
@@ -27,7 +29,7 @@ import numpy as np
 from numpy.random import Generator
 from scipy.special import betaln, digamma
 
-from .space import Categorical, ParameterSpace, Ranged, ShapeError, SortKey
+from .space import Categorical, ParameterSpace, ShapeError
 
 __all__ = [
     "RAW_CLIP",
@@ -69,69 +71,53 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class HeadLayout:
-    """Mapping between parameters, distribution heads, and raw MLP outputs."""
+    """Mapping between parameters, distribution heads, and raw MLP outputs;
+    categorical head j is row j of a padded (n_cat, k_max) matrix."""
 
-    kinds: tuple[str, ...]  # per parameter: "beta" | "cat"
-    cat_k: tuple[int, ...]  # per parameter: k for cat heads, 0 otherwise
+    n_params: int
     beta_params: np.ndarray  # parameter indices owning beta heads
     cat_params: np.ndarray
     beta_off: np.ndarray  # raw-output offset of each beta head's (u, v) pair
-    cat_off: np.ndarray
     out_width: int
     cat_sizes: np.ndarray  # k of each categorical head, in head order
-    cat_flat_off: np.ndarray  # start of each categorical head in DistributionSet.flat_probs
-
-    @property
-    def n_params(self) -> int:
-        return len(self.kinds)
+    cat_cols: np.ndarray  # (n_cat, k_max) raw-output index of each logit, 0 on padding
+    cat_mask: np.ndarray  # (n_cat, k_max) True on real entries
 
     @property
     def n_beta(self) -> int:
         return len(self.beta_params)
 
 
-def _make_layout(kinds: list[str], cat_k: list[int]) -> HeadLayout:
-    beta_params, cat_params, beta_off, cat_off = [], [], [], []
-    off = 0
-    for i, kind in enumerate(kinds):
-        if kind == "beta":
-            beta_params.append(i)
-            beta_off.append(off)
-            off += 2
-        else:
-            cat_params.append(i)
-            cat_off.append(off)
-            off += cat_k[i]
-    cat_sizes = np.asarray([cat_k[i] for i in cat_params], dtype=np.intp)
+def _make_layout(cat_k) -> HeadLayout:
+    """The layout of one head per parameter: cat_k[i] choices, 0 for a Beta head."""
+    k = np.asarray(cat_k, dtype=np.intp)
+    width = np.where(k > 0, k, 2)
+    off = np.cumsum(width) - width
+    beta_params, cat_params = np.flatnonzero(k == 0), np.flatnonzero(k > 0)
+    sizes = k[cat_params]
+    cols = np.arange(sizes.max(initial=0))
+    mask = cols < sizes[:, None]
     return HeadLayout(
-        kinds=tuple(kinds),
-        cat_k=tuple(cat_k),
-        beta_params=np.asarray(beta_params, dtype=np.intp),
-        cat_params=np.asarray(cat_params, dtype=np.intp),
-        beta_off=np.asarray(beta_off, dtype=np.intp),
-        cat_off=np.asarray(cat_off, dtype=np.intp),
-        out_width=off,
-        cat_sizes=cat_sizes,
-        cat_flat_off=np.cumsum(cat_sizes) - cat_sizes,
+        n_params=k.size,
+        beta_params=beta_params,
+        cat_params=cat_params,
+        beta_off=off[beta_params],
+        out_width=int(width.sum()),
+        cat_sizes=sizes,
+        cat_cols=np.where(mask, off[cat_params, None] + cols, 0),
+        cat_mask=mask,
     )
 
 
 def layout_for_space(space: ParameterSpace) -> HeadLayout:
-    kinds, cat_k = [], []
-    for p in space.params:
-        if isinstance(p.kind, Categorical):
-            kinds.append("cat")
-            cat_k.append(p.kind.k)
-        else:
-            assert isinstance(p.kind, (Ranged, SortKey))
-            kinds.append("beta")
-            cat_k.append(0)
-    return _make_layout(kinds, cat_k)
+    """A softmax head for each categorical parameter, a Beta head for each ranged one or sort key."""
+    return _make_layout([p.kind.k if isinstance(p.kind, Categorical) else 0 for p in space.params])
 
 
 @dataclass(frozen=True)
 class DistributionSet:
-    """One distribution per parameter: Beta(alphas, betas) and categorical heads.
+    """One distribution per parameter: Beta(alphas, betas) and categorical
+    heads, whose probabilities are the rows of `cat_probs`, zero on padding.
 
     A set is immutable: its arrays are never modified after construction,
     and a different set is a new instance, from `heads_from_raw` or
@@ -144,25 +130,21 @@ class DistributionSet:
     layout: HeadLayout
     alphas: np.ndarray  # (n_beta,)
     betas: np.ndarray  # (n_beta,)
-    cat_probs: tuple[np.ndarray, ...]
+    cat_probs: np.ndarray  # (n_cat, k_max)
     beta_norm: np.ndarray = field(init=False, repr=False, compare=False)  # ln B(alpha, beta)
     dg_alpha: np.ndarray = field(init=False, repr=False, compare=False)  # digamma(alpha)
     dg_beta: np.ndarray = field(init=False, repr=False, compare=False)  # digamma(beta)
     dg_sum: np.ndarray = field(init=False, repr=False, compare=False)  # digamma(alpha + beta)
-    flat_probs: np.ndarray = field(init=False, repr=False, compare=False)  # cat_probs concatenated
-    flat_log_probs: np.ndarray = field(init=False, repr=False, compare=False)  # 0 where p == 0
+    cat_log_probs: np.ndarray = field(init=False, repr=False, compare=False)  # 0 where p == 0
 
     def __post_init__(self):
-        a, b = self.alphas, self.betas
-        p = np.concatenate(self.cat_probs) if self.cat_probs else np.zeros(0)
-        log_p = np.log(np.where(p > 0.0, p, 1.0))  # so that p * log p needs no mask
+        a, b, p = self.alphas, self.betas, self.cat_probs
         cached = {
             "beta_norm": betaln(a, b),
             "dg_alpha": digamma(a),
             "dg_beta": digamma(b),
             "dg_sum": digamma(a + b),
-            "flat_probs": p,
-            "flat_log_probs": log_p,
+            "cat_log_probs": np.log(np.where(p > 0.0, p, 1.0)),  # so that p * log p needs no mask
         }
         for name, value in cached.items():
             object.__setattr__(self, name, value)
@@ -244,15 +226,17 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def heads_from_raw(out: np.ndarray, layout: HeadLayout) -> DistributionSet:
+    """Softplus Beta heads, and a row-wise softmax of the logit matrix with -inf padding.
+
+    numpy adds a row of fewer than 8 entries in order, so padding leaves each
+    normaliser as a per-head softmax has it; with a head of 8 or more choices,
+    rows are summed pairwise and may round differently in the last bit."""
     alphas = 1.0 + _softplus(out[layout.beta_off])
     betas = 1.0 + _softplus(out[layout.beta_off + 1])
-    cats = []
-    for off, pi in zip(layout.cat_off, layout.cat_params):
-        z = out[off : off + layout.cat_k[pi]]
-        z = z - z.max()
-        e = np.exp(z)
-        cats.append(e / e.sum())
-    return DistributionSet(layout=layout, alphas=alphas, betas=betas, cat_probs=tuple(cats))
+    z = np.where(layout.cat_mask, out[layout.cat_cols], -np.inf)
+    e = np.exp(z - z.max(axis=1, initial=-np.inf, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return DistributionSet(layout=layout, alphas=alphas, betas=betas, cat_probs=probs)
 
 
 def forward_cached(params: PolicyParams, s0: np.ndarray, layout: HeadLayout):
@@ -263,8 +247,8 @@ def forward_cached(params: PolicyParams, s0: np.ndarray, layout: HeadLayout):
     return heads_from_raw(out, layout), cache
 
 
-def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarray, d_logits) -> np.ndarray:
-    """Chain head-space gradients back to raw MLP outputs.
+def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarray, d_logits: np.ndarray) -> np.ndarray:
+    """Chain head-space gradients, with d_logits (n_cat, k_max), back to raw MLP outputs.
 
     d softplus(u)/du recovered from alpha itself: sigmoid(u) = 1 - exp(1 - alpha).
     """
@@ -272,8 +256,7 @@ def head_backward(dists: DistributionSet, d_alpha: np.ndarray, d_beta: np.ndarra
     g = np.zeros(layout.out_width)
     g[layout.beta_off] = d_alpha * (1.0 - np.exp(1.0 - dists.alphas))
     g[layout.beta_off + 1] = d_beta * (1.0 - np.exp(1.0 - dists.betas))
-    for j, (off, pi) in enumerate(zip(layout.cat_off, layout.cat_params)):
-        g[off : off + layout.cat_k[pi]] = d_logits[j]
+    g[layout.cat_cols[layout.cat_mask]] = d_logits[layout.cat_mask]
     return g
 
 
@@ -285,15 +268,15 @@ def sample(dists: DistributionSet, rng: Generator, n: int) -> np.ndarray:
     float. The batch takes one `beta` call of shape (n, n_beta), then one
     `random` call of shape (n, n_cat), so a row's values depend on n as
     well as on the generator's state: n one-row draws give other rows.
+    An index counts the CDF entries at or below its uniform, capped at k - 1.
     """
     layout = dists.layout
     raw = np.empty((n, layout.n_params))
     x = rng.beta(dists.alphas, dists.betas, size=(n, layout.n_beta))
     raw[:, layout.beta_params] = np.clip(x, RAW_CLIP, 1.0 - RAW_CLIP)
     u = rng.random((n, len(layout.cat_params)))
-    for j, (probs, col) in enumerate(zip(dists.cat_probs, layout.cat_params.tolist())):
-        index = np.searchsorted(np.cumsum(probs), u[:, j], side="right")
-        raw[:, col] = np.minimum(index, len(probs) - 1)
+    index = (np.cumsum(dists.cat_probs, axis=1) <= u[..., None]).sum(axis=-1)
+    raw[:, layout.cat_params] = np.minimum(index, layout.cat_sizes - 1)
     return raw
 
 
@@ -327,7 +310,8 @@ def stack_actions(layout: HeadLayout, raws: np.ndarray) -> ActionBatch:
 
 
 def _check_same_structure(new: DistributionSet, old: DistributionSet) -> None:
-    if new.layout.kinds != old.layout.kinds or new.layout.cat_k != old.layout.cat_k:
+    a, b = ((d.layout.n_params, d.layout.cat_params.tolist(), d.layout.cat_sizes.tolist()) for d in (new, old))
+    if a != b:
         raise ShapeError("distribution sets have different head structure")
 
 
@@ -336,14 +320,14 @@ def log_probs(dists: DistributionSet, batch: ActionBatch) -> np.ndarray:
 
     The Beta log-densities are linear in (log x, log(1 - x)) with
     coefficients (alpha - 1, beta - 1) and the cached normalisers as
-    constant; the categorical part gathers the flat probabilities at the
-    chosen categories. A zero-probability category gives -inf.
+    constant; the categorical part gathers each head's probability at its
+    chosen category. A zero-probability category gives -inf.
     """
     total = batch.log_x @ (dists.alphas - 1.0) + batch.log_1mx @ (dists.betas - 1.0)
     total -= dists.beta_norm.sum()
-    flat = batch.cat_index + dists.layout.cat_flat_off
+    chosen = dists.cat_probs[np.arange(len(dists.cat_probs)), batch.cat_index]
     with np.errstate(divide="ignore"):
-        return total + np.log(dists.flat_probs.take(flat)).sum(axis=1)
+        return total + np.log(chosen).sum(axis=1)
 
 
 def entropy(dists: DistributionSet) -> float:
@@ -356,7 +340,8 @@ def entropy(dists: DistributionSet) -> float:
             + (a + b - 2.0) * dists.dg_sum
         ).sum()
     )
-    return total - float(dists.flat_probs @ dists.flat_log_probs)
+    real = dists.layout.cat_mask
+    return total - float(dists.cat_probs[real] @ dists.cat_log_probs[real])
 
 
 def kl(new: DistributionSet, old: DistributionSet) -> float:
@@ -368,9 +353,10 @@ def kl(new: DistributionSet, old: DistributionSet) -> float:
         + float(da @ (new.dg_alpha - new.dg_sum))
         + float(db @ (new.dg_beta - new.dg_sum))
     )
-    if ((new.flat_probs > 0.0) & (old.flat_probs <= 0.0)).any():
+    if ((new.cat_probs > 0.0) & (old.cat_probs <= 0.0)).any():
         return float("inf")
-    return total + float(new.flat_probs @ (new.flat_log_probs - old.flat_log_probs))
+    real = new.layout.cat_mask
+    return total + float(new.cat_probs[real] @ (new.cat_log_probs - old.cat_log_probs)[real])
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,10 @@ class TrainConfig:
             raise ValueError("max_episodes must be >= 0")
         if self.sample_budget < 0:
             raise ValueError("sample_budget must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.target_objective is not None and not np.isfinite(self.target_objective):
+            raise ValueError(f"target_objective must be finite, got {self.target_objective}")
 
     def episode_count(self) -> int:
         return min(self.max_episodes, self.sample_budget // self.batch_size)

@@ -10,25 +10,26 @@ from coredse.space import ShapeError
 
 def dists_from_heads(heads) -> DistributionSet:
     """Build from [("beta", a, b) | ("cat", probs), ...], one head per parameter."""
-    kinds, cat_k, alphas, betas, cats = [], [], [], [], []
+    cat_k, alphas, betas, cats = [], [], [], []
     for h in heads:
         if h[0] == "beta":
-            kinds.append("beta")
             cat_k.append(0)
             alphas.append(float(h[1]))
             betas.append(float(h[2]))
         elif h[0] == "cat":
             probs = np.asarray(h[1], dtype=float)
-            kinds.append("cat")
             cat_k.append(len(probs))
             cats.append(probs)
         else:
             raise ValueError(f"unknown head {h!r}")
+    cat_probs = np.zeros((len(cats), max(cat_k, default=0)))
+    for row, probs in zip(cat_probs, cats):
+        row[: len(probs)] = probs
     return DistributionSet(
-        layout=_make_layout(kinds, cat_k),
+        layout=_make_layout(cat_k),
         alphas=np.asarray(alphas, dtype=float),
         betas=np.asarray(betas, dtype=float),
-        cat_probs=tuple(cats),
+        cat_probs=cat_probs,
     )
 
 
@@ -44,10 +45,10 @@ def log_prob(dists: DistributionSet, raw: np.ndarray) -> float:
             raise DomainError("beta-head values must lie strictly inside (0, 1)")
         a, b = dists.alphas, dists.betas
         total += float(np.sum((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - dists.beta_norm))
-    for j, pi in enumerate(layout.cat_params):
+    for j, (pi, k) in enumerate(zip(layout.cat_params, layout.cat_sizes)):
         idx = int(raw[pi])
-        if not 0 <= idx < layout.cat_k[pi]:
-            raise DomainError(f"category index {idx} out of range({layout.cat_k[pi]})")
-        p = dists.cat_probs[j][idx]
+        if not 0 <= idx < k:
+            raise DomainError(f"category index {idx} out of range({k})")
+        p = dists.cat_probs[j, idx]
         total += float(np.log(p)) if p > 0.0 else float("-inf")
     return total

@@ -211,6 +211,33 @@ def test_fixed_parallelism_out_of_range_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error:") and "fixed_parallelism 0" in err
 
 
+@pytest.mark.parametrize(
+    "section, message, kw",
+    [
+        ("'space'", "tile_step must be >= 1, got 0", dict(space={"n_pe": [2, 16, 2], "tile_step": 0})),
+        ("'space'", "n_pe: step must be >= 1, got 0", dict(space={"n_pe": [2, 8, 0]})),
+        ("'cost'", "area constants must be finite", dict(extra={"cost": {"area_per_pe_mm2": float("nan")}})),
+        ("'reward'", "weights must be finite, got (nan, 0.0)", dict(reward={"weights": [float("nan"), 0.0]})),
+        ("'reward'", "alpha_c must be finite, got nan", dict(reward={"weights": [-1.0, 0.0], "alpha_c": float("nan")})),
+        (
+            "'reward'",
+            "beta_e_start must be finite, got nan",
+            dict(reward={"weights": [-1.0, 0.0], "beta_e_start": float("nan")}),
+        ),
+        ("'reward'", "r_ano must be finite, got -inf", dict(reward={"weights": [-1.0, 0.0], "r_ano": float("-inf")})),
+        ("'train'", "learning_rate must be positive and finite, got nan", dict(train={"learning_rate": float("nan")})),
+        ("'train'", "target_objective must be finite, got inf", dict(train={"target_objective": float("inf")})),
+    ],
+)
+def test_zero_steps_and_non_finite_numbers_are_config_errors(tmp_path, capsys, section, message, kw):
+    # json reads NaN and Infinity; before they were refused, these runs crashed or ended in NaN.
+    for method in ("core", "random"):
+        path = write_setup(tmp_path, method=method, **kw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: config section {section}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_unknown_method(tmp_path, capsys):
     path = write_setup(tmp_path, method="anneal")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

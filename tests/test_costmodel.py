@@ -185,6 +185,9 @@ def test_cost_constants_validation():
         CostConstants(bytes_per_element=0)
     with pytest.raises(ValueError):
         CostConstants(bw_dram_bytes_per_cycle=0)
+    for kw in (dict(area_per_pe_mm2=float("nan")), dict(area_per_byte_mm2=float("inf"))):
+        with pytest.raises(ValueError, match="area constants must be finite"):
+            CostConstants(**kw)
 
 
 # ---------------------------------------------------------------------------

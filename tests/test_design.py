@@ -198,6 +198,16 @@ def test_unknown_space_option_rejected(tmp_path):
         Setup(config, tmp_path, None)
 
 
+def test_a_step_below_one_is_rejected():
+    for kw, match in (
+        (dict(tile_step=0), "tile_step"),
+        (dict(n_pe=(2, 8, 0)), "n_pe: step"),
+        (dict(l1_bytes=(1, 9, -1)), "l1_bytes: step"),
+    ):
+        with pytest.raises(ConfigurationError, match=match):
+            default_space(**kw)
+
+
 def test_bad_fixed_order_rejected():
     with pytest.raises(ConfigurationError):
         CoDesignSpace(small_workload(), SpaceOptions(fixed_order=("K",) * 6))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_outcome_validation():
 def test_reward_config_validation():
     with pytest.raises(ValueError):
         RewardConfig(weights=())
+    nan, inf = float("nan"), float("inf")
+    for kw, name in (
+        (dict(weights=(-1.0, nan)), "weights"),
+        (dict(alpha_c=nan), "alpha_c"),
+        (dict(beta_e_start=nan), "beta_e_start"),
+        (dict(beta_e_end=inf), "beta_e_end"),
+        (dict(r_ano=-inf), "r_ano"),
+        (dict(no_shaping_penalty=-inf), "no_shaping_penalty"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+            RewardConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +227,10 @@ def ratio_kl_surrogate_gradients(dists, snapshot, actions, advs, beta_r, beta_e,
     batch = stack_actions(layout, actions)
     delta = batch.log_x @ (a - snapshot.alphas) + batch.log_1mx @ (b - snapshot.betas)
     delta -= (dists.beta_norm - snapshot.beta_norm).sum()
-    flat = batch.cat_index + layout.cat_flat_off
+    heads = [(j, k, batch.cat_index[:, j]) for j, k in enumerate(layout.cat_sizes)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_pq = np.log(dists.flat_probs.take(flat)) - np.log(snapshot.flat_probs.take(flat))
-        delta = delta + log_pq.sum(axis=1)
+        for j, _, idx in heads:
+            delta = delta + (np.log(dists.cat_probs[j, idx]) - np.log(snapshot.cat_probs[j, idx]))
     ratio = np.exp(np.clip(delta, -ratio_bound, ratio_bound))
     active = np.abs(delta) < ratio_bound
     coef = advs * ratio * active / E
@@ -226,33 +238,33 @@ def ratio_kl_surrogate_gradients(dists, snapshot, actions, advs, beta_r, beta_e,
     value = float(ratio @ advs) / E
     d_alpha = np.zeros_like(a)
     d_beta = np.zeros_like(b)
-    d_logits = [np.zeros_like(p) for p in dists.cat_probs]
+    d_logits = np.zeros_like(dists.cat_probs)
     if layout.n_beta:
         d_alpha += coef @ (batch.log_x - dg_a + dg_ab)
         d_beta += coef @ (batch.log_1mx - dg_b + dg_ab)
-    for j, p in enumerate(dists.cat_probs):
-        g = -np.outer(coef, p)
-        g[np.arange(E), batch.cat_index[:, j]] += coef
-        d_logits[j] += g.sum(axis=0)
+    for j, k, idx in heads:
+        g = -np.outer(coef, dists.cat_probs[j, :k])
+        g[np.arange(E), idx] += coef
+        d_logits[j, :k] += g.sum(axis=0)
 
     tg_a, tg_b, tg_ab = polygamma(1, a), polygamma(1, b), polygamma(1, ab)
     da, db = a - snapshot.alphas, b - snapshot.betas
     value -= beta_r * kl(dists, snapshot)
     d_alpha -= beta_r * (da * tg_a - (da + db) * tg_ab)
     d_beta -= beta_r * (db * tg_b - (da + db) * tg_ab)
-    heads = [slice(off, off + k) for off, k in zip(layout.cat_flat_off, layout.cat_sizes)]
-    log_p, log_q = dists.flat_log_probs, snapshot.flat_log_probs
-    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
-        q = snapshot.flat_probs[h]
-        logpq = np.where(p > 0.0, log_p[h] - log_q[h] + np.where(q > 0.0, 0.0, np.inf), 0.0)
-        d_logits[j] -= beta_r * p * (logpq - float(np.sum(p * logpq)))
+    for j, k, _ in heads:
+        p, q = dists.cat_probs[j, :k], snapshot.cat_probs[j, :k]
+        log_p, log_q = dists.cat_log_probs[j, :k], snapshot.cat_log_probs[j, :k]
+        logpq = np.where(p > 0.0, log_p - log_q + np.where(q > 0.0, 0.0, np.inf), 0.0)
+        d_logits[j, :k] -= beta_r * p * (logpq - float(np.sum(p * logpq)))
 
     value += beta_e * entropy(dists)
     d_alpha += beta_e * (-(a - 1.0) * tg_a + (ab - 2.0) * tg_ab)
     d_beta += beta_e * (-(b - 1.0) * tg_b + (ab - 2.0) * tg_ab)
-    for j, (p, h) in enumerate(zip(dists.cat_probs, heads)):
-        h_head = -float(np.sum(p * log_p[h]))
-        d_logits[j] += beta_e * p * (-log_p[h] - h_head)
+    for j, k, _ in heads:
+        p, log_p = dists.cat_probs[j, :k], dists.cat_log_probs[j, :k]
+        h_head = -float(np.sum(p * log_p))
+        d_logits[j, :k] += beta_e * p * (-log_p - h_head)
     return value, d_alpha, d_beta, d_logits
 
 
@@ -271,8 +283,8 @@ def test_surrogate_at_snapshot_reduces_to_advantage_plus_entropy():
 
         got = surrogate_gradients(dists, actions, advs, beta_e)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        assert len(got[2]) == len(ref[2]) == 2
-        assert all(np.array_equal(g, r) for g, r in zip(got[2], ref[2]))
+        assert got[2].shape == ref[2].shape == (2, 6)
+        assert np.array_equal(got[2], ref[2])
 
 
 def test_surrogate_is_advantage_weighted_log_prob_plus_entropy():
@@ -295,7 +307,8 @@ def test_surrogate_validates_batch():
 
 
 def perturbed(dists, which, i, h, logits=None):
-    """Rebuild a DistributionSet with one head coordinate nudged by h."""
+    """Rebuild a DistributionSet with one head coordinate nudged by h; logit
+    (j, i) is logit i of categorical head j."""
     if which == "alpha":
         alphas = dists.alphas.copy()
         alphas[i] += h
@@ -304,34 +317,43 @@ def perturbed(dists, which, i, h, logits=None):
         betas = dists.betas.copy()
         betas[i] += h
         return dataclasses.replace(dists, betas=betas)
-    z = np.asarray(logits, dtype=float).copy()
-    z[i] += h
-    return dataclasses.replace(dists, cat_probs=(softmax(z),))
+    z = [np.asarray(head, dtype=float).copy() for head in logits]
+    z[i[0]][i[1]] += h
+    probs = np.zeros_like(dists.cat_probs)
+    for row, head in zip(probs, z):
+        row[: head.size] = softmax(head)
+    return dataclasses.replace(dists, cat_probs=probs)
 
 
 def test_gradients_match_finite_differences():
-    logits = np.array([0.3, -0.2, 0.8])
-    dists = mixed_dists(logits=logits)
-    rng = np.random.default_rng(21)
-    actions = np.array([act(rng.uniform(0.1, 0.9), rng.integers(3), rng.uniform(0.1, 0.9)) for _ in range(5)])
-    advs = rng.normal(size=5)
-    beta_e = 0.3
+    # A 3-way head, then a 3-way and a 13-way head, padded into a matrix wider than 8.
+    for logits in ([(0.3, -0.2, 0.8)], [(0.3, -0.2, 0.8), np.linspace(-1.5, 1.0, 13)]):
+        heads = [("beta", 2.0, 5.0), ("cat", softmax(logits[0])), ("beta", 1.5, 3.0)]
+        heads += [("cat", softmax(z)) for z in logits[1:]]
+        dists = dists_from_heads(heads)
+        rng = np.random.default_rng(21)
+        sizes = [len(head[1]) if head[0] == "cat" else 0 for head in heads]
+        actions = np.array([[rng.integers(k) if k else rng.uniform(0.1, 0.9) for k in sizes] for _ in range(5)])
+        advs = rng.normal(size=5)
+        beta_e = 0.3
 
-    d_alpha, d_beta, d_logits = surrogate_gradients(dists, actions, advs, beta_e)
+        d_alpha, d_beta, d_logits = surrogate_gradients(dists, actions, advs, beta_e)
 
-    h = 1e-6
+        h = 1e-6
 
-    def fd(which, i):
-        up = surrogate_objective(perturbed(dists, which, i, +h, logits), actions, advs, beta_e)
-        dn = surrogate_objective(perturbed(dists, which, i, -h, logits), actions, advs, beta_e)
-        return (up - dn) / (2.0 * h)
+        def fd(which, i):
+            up = surrogate_objective(perturbed(dists, which, i, +h, logits), actions, advs, beta_e)
+            dn = surrogate_objective(perturbed(dists, which, i, -h, logits), actions, advs, beta_e)
+            return (up - dn) / (2.0 * h)
 
-    for i in range(2):
-        assert abs(d_alpha[i] - fd("alpha", i)) < 1e-5 * max(1.0, abs(d_alpha[i]))
-        assert abs(d_beta[i] - fd("beta", i)) < 1e-5 * max(1.0, abs(d_beta[i]))
-    for i in range(3):
-        got = d_logits[0][i]
-        assert abs(got - fd("logit", i)) < 1e-5 * max(1.0, abs(got))
+        for i in range(2):
+            assert abs(d_alpha[i] - fd("alpha", i)) < 1e-5 * max(1.0, abs(d_alpha[i]))
+            assert abs(d_beta[i] - fd("beta", i)) < 1e-5 * max(1.0, abs(d_beta[i]))
+        assert d_logits.shape == (len(logits), max(map(len, logits)))
+        for j, z in enumerate(logits):
+            for i in range(len(z)):
+                got = d_logits[j, i]
+                assert abs(got - fd("logit", (j, i))) < 1e-5 * max(1.0, abs(got))
 
 
 # ---------------------------------------------------------------------------

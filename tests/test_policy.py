@@ -46,6 +46,18 @@ def mixed_space() -> ParameterSpace:
     )
 
 
+def wide_space() -> ParameterSpace:
+    """A 3-way and a 13-way head: the padded matrix is wider than 8, where numpy sums rows pairwise."""
+    return ParameterSpace(
+        (
+            ParamSpec("mode", Categorical(3)),
+            ParamSpec("a", Ranged(1, 8)),
+            ParamSpec("pick", Categorical(13)),
+            ParamSpec("key", SortKey("order", 0)),
+        )
+    )
+
+
 def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 1.0), probs=None):
     if probs is None:
         probs = np.full(6, 1.0 / 6.0)
@@ -60,16 +72,26 @@ def mixed_dists(alphas=(2.0, 1.5), betas=(5.0, 1.0), probs=None):
 
 def test_layout_for_mixed_space():
     layout = layout_for_space(mixed_space())
-    assert layout.kinds == ("beta", "cat", "beta")
-    assert layout.cat_k == (0, 6, 0)
     assert list(layout.beta_params) == [0, 2]
     assert list(layout.cat_params) == [1]
+    assert list(layout.cat_sizes) == [6]
     # raw vector: (u,v) for "a", 6 logits for "pick", (u,v) for "key"
     assert list(layout.beta_off) == [0, 8]
-    assert list(layout.cat_off) == [2]
+    assert layout.cat_cols.tolist() == [[2, 3, 4, 5, 6, 7]]
+    assert layout.cat_mask.all() and layout.cat_mask.shape == (1, 6)
     assert layout.out_width == 10
     assert layout.n_params == 3
     assert layout.n_beta == 2
+
+
+def test_layout_pads_categorical_heads_into_one_matrix():
+    layout = layout_for_space(wide_space())
+    # raw vector: 3 logits for "mode", (u,v) for "a", 13 logits for "pick", (u,v) for "key"
+    assert list(layout.cat_params) == [0, 2] and list(layout.cat_sizes) == [3, 13]
+    assert list(layout.beta_off) == [3, 18] and layout.out_width == 20
+    assert layout.cat_mask.sum(axis=1).tolist() == [3, 13] and layout.cat_mask.shape == (2, 13)
+    assert layout.cat_cols[layout.cat_mask].tolist() == [0, 1, 2] + list(range(5, 18))
+    assert (layout.cat_cols[~layout.cat_mask] == 0).all()
 
 
 def test_context_vector_is_ones():
@@ -117,6 +139,17 @@ def test_heads_from_raw_softmax_shift_invariance():
     b = heads_from_raw(shifted, layout)
     assert np.allclose(a.cat_probs[0], b.cat_probs[0], atol=1e-12)
     assert np.isclose(a.cat_probs[0].sum(), 1.0, atol=1e-12)
+
+
+def test_padded_heads_sum_to_one_and_keep_zero_padding():
+    layout = layout_for_space(wide_space())
+    rng = np.random.default_rng(13)
+    for scale in (0.1, 3.0, 300.0):
+        dists = heads_from_raw(rng.normal(scale=scale, size=layout.out_width), layout)
+        assert dists.cat_probs.shape == (2, 13)
+        assert np.all(np.abs(dists.cat_probs.sum(axis=1) - 1.0) <= 1e-12)
+        assert (dists.cat_probs[~layout.cat_mask] == 0.0).all()
+        assert (dists.cat_log_probs[~layout.cat_mask] == 0.0).all()
 
 
 def test_forward_rejects_wrong_context_width():
@@ -282,20 +315,35 @@ def test_sample_beta_moments():
 
 
 def test_sample_categorical_frequencies():
-    probs = np.array([0.5, 0.2, 0.1, 0.1, 0.05, 0.05])
-    dists = dists_from_heads([("cat", probs)])
-    rng = np.random.default_rng(321)
-    n = 20000
-    counts = np.bincount(sample(dists, rng, n)[:, 0].astype(int), minlength=6)
-    freq = counts / n
-    se = np.sqrt(probs * (1.0 - probs) / n)
-    assert np.all(np.abs(freq - probs) <= 3.0 * se + 1e-9)
+    cases = (
+        ([("cat", [0.5, 0.2, 0.1, 0.1, 0.05, 0.05])], 3.0),
+        # 16 frequencies: at 4 standard errors a sound sampler fails about 0.1% of seeds.
+        ([("cat", [0.6, 0.3, 0.1]), ("beta", 2.0, 5.0), ("cat", np.arange(1.0, 14.0) / 91.0)], 4.0),
+    )
+    for heads, z in cases:
+        dists = dists_from_heads(heads)
+        layout = dists.layout
+        rng = np.random.default_rng(321)
+        n = 20000
+        draws = sample(dists, rng, n)[:, layout.cat_params].astype(int)
+        for j, k in enumerate(layout.cat_sizes):
+            probs = dists.cat_probs[j, :k]
+            freq = np.bincount(draws[:, j], minlength=k) / n
+            se = np.sqrt(probs * (1.0 - probs) / n)
+            assert freq.size == k and np.all(np.abs(freq - probs) <= z * se + 1e-9)
 
 
 def test_sample_zero_probability_category_never_drawn():
-    dists = dists_from_heads([("cat", np.array([0.0, 1.0, 0.0]))])
-    rng = np.random.default_rng(2)
-    assert (sample(dists, rng, 50)[:, 0] == 1.0).all()
+    cases = (
+        [("cat", [0.0, 1.0, 0.0])],
+        # The 3-way head never reaches its padding, nor the 13-way head its zeros.
+        [("cat", [0.5, 0.0, 0.5]), ("beta", 2.0, 2.0), ("cat", [0.0, 0.25, 0.0, 0.0, 0.5] + [0.0] * 5 + [0.25, 0, 0])],
+    )
+    for heads in cases:
+        dists = dists_from_heads(heads)
+        draws = sample(dists, np.random.default_rng(2), 2000)[:, dists.layout.cat_params].astype(int)
+        for j, k in enumerate(dists.layout.cat_sizes):
+            assert (draws[:, j] < k).all() and (dists.cat_probs[j, draws[:, j]] > 0.0).all()
 
 
 def test_sample_of_no_generators_is_an_empty_batch():
@@ -312,7 +360,7 @@ def test_sample_at_raw_scale_800_keeps_supports_and_moments():
     uv = np.array([(-1, -1), (1, -1), (-1, 1), (1, 1), (-1, -1)], dtype=float)
     out[layout.beta_off] = 800.0 * uv[:, 0]
     out[layout.beta_off + 1] = 800.0 * uv[:, 1]
-    out[layout.cat_off[0] : layout.cat_off[0] + 6] = [-800.0, -800.0, 800.0, -800.0, 0.0, -800.0]
+    out[layout.cat_cols[0]] = [-800.0, -800.0, 800.0, -800.0, 0.0, -800.0]
     dists = heads_from_raw(out, layout)
     a, b = dists.alphas, dists.betas
     assert a.tolist() == [1.0, 801.0, 1.0, 801.0, 1.0] and b.tolist() == [1.0, 1.0, 801.0, 801.0, 1.0]
@@ -390,12 +438,25 @@ def test_head_backward_softplus_chain():
     layout = layout_for_space(mixed_space())
     out = np.linspace(-1.0, 1.0, layout.out_width)
     dists = heads_from_raw(out, layout)
-    g = head_backward(dists, np.ones(2), np.zeros(2), [np.zeros(6)])
+    g = head_backward(dists, np.ones(2), np.zeros(2), np.zeros((1, 6)))
     for u, got in zip(out[layout.beta_off], g[layout.beta_off]):
         assert abs(got - 1.0 / (1.0 + math.exp(-u))) < 1e-12
     # categorical slots pass through untouched
-    g = head_backward(dists, np.zeros(2), np.zeros(2), [np.arange(6.0)])
+    g = head_backward(dists, np.zeros(2), np.zeros(2), np.arange(6.0)[None, :])
     assert np.array_equal(g[2:8], np.arange(6.0))
+
+
+def test_head_backward_writes_each_logit_column_once_and_no_beta_column():
+    layout = layout_for_space(wide_space())
+    dists = heads_from_raw(np.linspace(-1.0, 1.0, layout.out_width), layout)
+    d_logits = np.where(layout.cat_mask, 1.0 + np.arange(26.0).reshape(2, 13), np.nan)
+    g = head_backward(dists, np.zeros(2), np.zeros(2), d_logits)
+    cols = layout.cat_cols[layout.cat_mask]
+    assert np.array_equal(g[cols], d_logits[layout.cat_mask])
+    assert len(set(cols.tolist())) == cols.size == 16
+    beta_cols = np.concatenate([layout.beta_off, layout.beta_off + 1])
+    assert (g[beta_cols] == 0.0).all()
+    assert sorted(cols.tolist() + beta_cols.tolist()) == list(range(layout.out_width))
 
 
 def test_forward_cached_is_mlp_then_heads():
@@ -405,7 +466,7 @@ def test_forward_cached_is_mlp_then_heads():
     b, cache = forward_cached(params, context_vector(4), layout)
     assert np.array_equal(a.alphas, b.alphas)
     assert np.array_equal(a.betas, b.betas)
-    assert all(np.array_equal(x, y) for x, y in zip(a.cat_probs, b.cat_probs))
+    assert np.array_equal(a.cat_probs, b.cat_probs)
     inputs, pres = cache
     assert len(inputs) == 4 and len(pres) == 3
 

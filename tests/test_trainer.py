@@ -80,6 +80,10 @@ def test_train_config_validation():
         dict(max_episodes=-1),
         dict(sample_budget=-1),
         dict(learning_rate=0.0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(target_objective=float("nan")),
+        dict(target_objective=float("-inf")),
     ):
         with pytest.raises(ValueError):
             line_cfg(**kw)
