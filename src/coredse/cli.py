@@ -71,17 +71,33 @@ def default_config() -> dict:
     }
 
 
-def _section(name: str, part, build, keys):
-    """``build(**part)``, after refusing a non-object ``part`` and keys outside
-    ``keys``. JSON lists become tuples, and a ValueError or TypeError from
-    ``build`` becomes a CliError that names the section."""
+def _typed(key: str, value, default):
+    """``value`` checked against its default's type: a bool field takes only
+    a bool, a number field no bool, and an int field only an integral value,
+    which becomes an int (so "8" and 2.0 give 8). JSON lists become tuples."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+    elif isinstance(default, (int, float)) and isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    elif isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _section(name: str, part, build, defaults: dict):
+    """``build(**part)``, after refusing a non-object ``part``, keys outside
+    ``defaults`` and values of the wrong type (see `_typed`). A ValueError
+    or TypeError becomes a CliError that names the section."""
     if not isinstance(part, dict):
         raise CliError(f"config section {name!r} must be an object")
-    unknown = sorted(set(part) - set(keys))
+    unknown = sorted(set(part) - set(defaults))
     if unknown:
         raise CliError(f"config section {name!r}: unknown key(s) {', '.join(unknown)}")
     try:
-        return build(**{k: tuple(v) if isinstance(v, list) else v for k, v in part.items()})
+        return build(**{k: _typed(k, v, defaults[k]) for k, v in part.items()})
     except (ValueError, TypeError) as exc:
         raise CliError(f"config section {name!r}: {exc}") from None
 
@@ -126,17 +142,15 @@ class Setup:
         self.workload = parse_workload(wl_path)
 
         self.platform = platform_by_name(config.get("platform", "edge"))
-        built = {
-            name: _section(name, config.get(name, {}), cls, [f.name for f in fields(cls)])
-            for name, cls in SECTIONS.items()
-        }
+        defaults = default_config()
+        built = {name: _section(name, config.get(name, {}), cls, defaults[name]) for name, cls in SECTIONS.items()}
         self.options, self.consts, self.policy = built["space"], built["cost"], built["policy"]
         self.reward = built["reward"]
         if self.method == "core-no-shaping":
             self.reward = replace(self.reward, shaping=False)
 
         train = partial(TrainConfig, reward=self.reward, policy=self.policy)
-        self.train_cfg = _section("train", config.get("train", {}), train, _TRAIN_KEYS)
+        self.train_cfg = _section("train", config.get("train", {}), train, defaults["train"])
         if seed is not None:
             self.train_cfg = replace(self.train_cfg, seed=seed)
         self.ga = _section("ga", config.get("ga", {}), _ga_kwargs, GA_DEFAULTS)

@@ -7,6 +7,11 @@ and a tile size per dimension.  Tiles nest (level 1 <= level 2 <= layer
 dim) and parallelism is capped by the PE count and the level-2 tile of
 the parallelized dimension, so decoding with scaling enabled can only
 produce structurally valid designs.
+
+`CoDesignSpace.decode` walks the generic scaling graph of `space.decode_values`,
+the reference. `CoDesignSpace.batch_decoder` is its batch twin for this space,
+as `make_batch_evaluator` is the cost model's: it decodes a raw matrix in the
+design's own fields, and the tests check it against decode.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import numpy as np
 
 from .space import (
     EXACT_INT,
-    BatchDecoder,
     Categorical,
     ConfigurationError,
     ParameterSpace,
@@ -26,6 +30,7 @@ from .space import (
     Ranged,
     Select,
     SortKey,
+    _decode_range_arrays,
     decode_values,
     enumerate_values,
 )
@@ -260,6 +265,25 @@ def valid_rows(batch: DesignBatch, workload: Workload) -> np.ndarray:
     return ok & (levels.all(axis=-1) & nested & (par <= caps).all(axis=-1)).all(axis=-1)
 
 
+@dataclass(frozen=True)
+class _Fields:
+    """Ranged fields of a DesignBatch matrix that decode in one step."""
+
+    cols: np.ndarray  # (f,) matrix columns
+    raw: np.ndarray  # (f,) raw columns
+    low: np.ndarray  # (f,)
+    up: np.ndarray  # (f,) declared bounds
+    step: np.ndarray  # (f,)
+
+
+def _decode_into(m: np.ndarray, raws: np.ndarray, f: _Fields, up) -> np.ndarray:
+    """Decode f's raws into m under bounds ``up``; True on each row where decode() does not raise."""
+    v, finite = _decode_range_arrays(raws[:, f.raw], f.low, up, f.step)
+    degenerate = up < f.low  # low whatever the raw value, as in decode_scaled
+    m[:, f.cols] = np.where(degenerate, f.low, v)
+    return (finite | degenerate).all(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Space construction
 
@@ -413,56 +437,95 @@ class CoDesignSpace:
         """decode() over a (B, n) raw matrix: ``raws -> (DesignBatch, ok)``.
 
         ok is False on each row for which decode() raises; on the other rows
-        ``DesignBatch.configs()`` equals decode()'s designs. Raises
-        ConfigurationError when a bound is too large to decode exactly in
-        int64 (see `BatchDecoder`).
+        ``DesignBatch.configs()`` equals decode()'s designs. Every field is a
+        column of one (B, F) int64 matrix in DesignBatch order. It starts at
+        the fixed values and is filled one field kind at a time, scaled
+        fields last: each of their bounds is an unscaled field. Raises
+        ConfigurationError when a declared bound or fixed value is too large
+        to decode exactly in int64.
         """
-        decoder = BatchDecoder(self.space, use_scaling=use_scaling)
         n_layers = len(self.workload.layers)
-        width = decoder.width
-        # Every scalar field as a column of [decoded values | fixed values].
         per_level = [(li, level) for li in range(n_layers) for level in (1, 2)]
         names = [
             "n_pe",
             "l1_bytes",
             "l2_bytes",
             *(f"l{li}.t{level}.{d}" for li, level in per_level for d in DIMS),
-            *(f"l{li}.par{level}" for li, level in per_level),
             *(f"l{li}.pdim{level}" for li, level in per_level),
+            *(f"l{li}.par{level}" for li, level in per_level),
         ]
-        fixed = {}
-        for name in names:
-            if name not in self.space.index:
-                v = self.fixed[name]
-                if abs(int(v)) >= EXACT_INT:
-                    raise ConfigurationError(f"{name}: {v} is beyond the batch decode's exact range")
-                fixed[name] = int(v)
-        columns = np.asarray(
-            [self.space.index[n] if n in self.space.index else width + list(fixed).index(n) for n in names],
-            dtype=np.intp,
-        )
-        fixed_values = np.asarray(list(fixed.values()), dtype=np.int64)
-        blocks = [(li, level - 1, f"l{li}.order{level}") for li, level in per_level]
-        n_tiles = 12 * n_layers
+        tiles = slice(3, 3 + 12 * n_layers)
+        pdims = slice(tiles.stop, tiles.stop + 2 * n_layers)
+        pars = slice(pdims.stop, pdims.stop + 2 * n_layers)
+        raw = [self.space.index.get(n) for n in names]
+        specs = [None if r is None else self.space.params[r] for r in raw]
+        for name, spec in zip(names, specs):
+            if spec is None:
+                exact = (self.fixed[name],)
+            else:
+                exact = (spec.kind.low, spec.kind.up) if isinstance(spec.kind, Ranged) else ()
+            if any(abs(int(v)) >= EXACT_INT for v in exact):
+                raise ConfigurationError(f"{name}: {exact} is beyond the batch decode's exact range")
+        fixed = np.asarray([0 if spec else self.fixed[n] for n, spec in zip(names, specs)], dtype=np.int64)
+
+        def ranged(cols) -> _Fields:
+            kinds = [specs[c].kind for c in cols]
+            return _Fields(
+                np.asarray(cols, dtype=np.intp),
+                np.asarray([raw[c] for c in cols], dtype=np.intp),
+                *(np.asarray([getattr(k, a) for k in kinds], dtype=np.int64) for a in ("low", "up", "step")),
+            )
+
+        is_ranged = [spec is not None and isinstance(spec.kind, Ranged) for spec in specs]
+        scaled = [r and use_scaling and bool(spec.scaled_by) for r, spec in zip(is_ranged, specs)]
+        free = ranged([c for c, r in enumerate(is_ranged) if r and not scaled[c]])
+        # A scaled tile is a level-1 tile; its level-2 tile is 6 columns on.
+        level1 = ranged([c for c in range(tiles.stop) if scaled[c]])
+        par = ranged([c for c in range(pars.start, pars.stop) if scaled[c]])
+        cats = [c for c, spec in enumerate(specs) if spec is not None and isinstance(spec.kind, Categorical)]
+        cat_raw = np.asarray([raw[c] for c in cats], dtype=np.intp)
+        cat_k = np.asarray([specs[c].kind.k for c in cats], dtype=np.int64)
+        blocks = [f"l{li}.order{level}" for li, level in per_level]
+        if self.options.include_order:
+            keys = np.asarray([[self.space.index[k] for k in self.space.blocks[b]] for b in blocks], dtype=np.intp)
+            keys = keys.reshape(n_layers, 2, 6)
+        else:
+            fixed_order = np.asarray([self.fixed[b] for b in blocks], dtype=np.int64).reshape(n_layers, 2, 6)
 
         def decode_batch(raws: np.ndarray):
-            values, orders, ok = decoder(raws)
-            table = np.concatenate([values, np.broadcast_to(fixed_values, (len(raws), len(fixed)))], axis=1)
-            g = table[:, columns]
-            order = np.empty((len(raws), n_layers, 2, 6), dtype=np.int64)
-            for li, lv, block in blocks:
-                order[:, li, lv] = orders[block] if block in orders else self.fixed[block]
-            pars = g[:, 3 + n_tiles :].reshape(len(raws), 2, n_layers, 2)
-            batch = DesignBatch(
-                n_pe=g[:, 0],
-                l1_bytes=g[:, 1],
-                l2_bytes=g[:, 2],
-                tiles=g[:, 3 : 3 + n_tiles].reshape(len(raws), n_layers, 2, 6),
+            n_rows = len(raws)
+            m = np.repeat(fixed[None], n_rows, axis=0)  # the (B, F) field matrix
+            ok = np.ones(n_rows, dtype=bool)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok &= _decode_into(m, raws, free, free.up)
+                # int() truncates toward zero; a bad row's dim becomes 0 so
+                # that parallelism can still gather its bound below.
+                idx = np.trunc(raws[:, cat_raw])
+                good = (idx >= 0) & (idx < cat_k)
+                m[:, cats] = np.where(good, idx, 0)
+                ok &= good.all(axis=1)
+                if len(level1.cols):
+                    ok &= _decode_into(m, raws, level1, m[:, level1.cols + 6])
+                if len(par.cols):
+                    t2 = m[:, tiles].reshape(n_rows, n_layers, 2, 6)[:, :, 1]
+                    up = np.take_along_axis(t2, m[:, pdims].reshape(n_rows, n_layers, 2), axis=2)
+                    up[:, :, 0] = np.minimum(up[:, :, 0], m[:, :1])
+                    ok &= _decode_into(m, raws, par, up.reshape(n_rows, -1)[:, par.cols - pars.start])
+            if self.options.include_order:
+                k = raws[:, keys]
+                ok &= np.isfinite(k).all(axis=(1, 2, 3))
+                order = np.argsort(-k, axis=3, kind="stable")
+            else:
+                order = np.broadcast_to(fixed_order, (n_rows, n_layers, 2, 6))
+            return DesignBatch(
+                n_pe=m[:, 0],
+                l1_bytes=m[:, 1],
+                l2_bytes=m[:, 2],
+                tiles=m[:, tiles].reshape(n_rows, n_layers, 2, 6),
                 order=order,
-                parallel_dim=pars[:, 1],
-                parallelism=pars[:, 0],
-            )
-            return batch, ok
+                parallel_dim=m[:, pdims].reshape(n_rows, n_layers, 2),
+                parallelism=m[:, pars].reshape(n_rows, n_layers, 2),
+            ), ok
 
         return decode_batch
 

@@ -3,7 +3,9 @@
 The trainer and the baseline searchers only ever see this interface, so
 swapping the accelerator model for a toy function needs no changes on
 their side. A problem may also carry an array path that decodes and
-evaluates a whole raw matrix at once into an `OutcomeBatch`: metrics and
+evaluates a whole raw matrix at once (`CoDesignSpace.batch_decoder` and
+`make_batch_evaluator`, the batch twins of the space's generic graph
+decode and of the cost model) into an `OutcomeBatch`: metrics and
 constraint residuals as arrays, with the designs kept as a `DesignBatch`
 and a `DesignConfig` built only for a row that is asked for (a best design,
 say). The array path prices a whole batch or declines it: where any row

@@ -19,7 +19,7 @@ from coredse.costmodel import CostConstants, platform_by_name
 from coredse.design import Layer, SpaceOptions, Workload
 from coredse.objective import RewardConfig, raw_objective, scalar_reward
 from coredse.problems import accelerator_problem
-from coredse.space import Categorical, ConfigurationError
+from coredse.space import Categorical, ConfigurationError, SortKey
 from coredse.baselines import ga_run, random_search
 from coredse.trainer import (
     PolicyConfig,
@@ -161,8 +161,23 @@ def test_non_finite_and_out_of_range_raws_match_scalar():
         raws[row, rng.integers(problem.n_raw)] = bad[k % len(bad)]
     for k, row in enumerate(range(1, 1600, 8)):
         raws[row, cats[k % len(cats)]] = (6.0, 7.5, -1.0, -0.5, 5.999)[k % 5]
+    # A huge raw decodes where its actual bound is 1 and overflows where it is more:
+    # layer 0's level-1 parallelism over dim K, whose level-2 tile is 1 or the whole dim.
+    col = problem.space.index
+    raws[2::8, col["l0.pdim1"]] = 2
+    raws[2::8, col["l0.t2.K"]] = 0.0
+    raws[2::8, col["l0.par1"]] = 1e308
+    raws[6::8, col["l0.pdim1"]] = 2
+    raws[6::8, col["l0.t2.K"]] = 1.0
+    raws[6::8, col["l0.par1"]] = 1e308
+    # Tied keys, and 0.0 against -0.0, keep slot order.
+    keys = [i for i, p in enumerate(problem.space.params) if isinstance(p.kind, SortKey)]
+    raws[3::8, keys[6:12]] = raws[3::8, keys[6:7]]
+    raws[7::8, keys[:12]] = np.tile([0.0, -0.0], 6)
     declined, anomalous = matches_scalar(problem, raws, batch=1)
     assert 0 < declined == anomalous
+    assert not any(_decode_and_eval_one(problem, r)[1].anomalous for r in raws[2:400:8])
+    assert all(_decode_and_eval_one(problem, r)[1].anomalous for r in raws[6:400:8])
 
 
 def test_rows_that_are_not_number_matrices_take_the_scalar_path():
@@ -184,6 +199,7 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     float_bytes = CostConstants(bytes_per_element=2.0)
     assert accelerator_problem(RESNETISH, edge, consts=float_bytes).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=(1, 2**60, 1))).evaluate_raws is None
+    assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=2**60)).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge).evaluate_raws is not None
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from coredse.baselines import ga_run
@@ -168,12 +169,18 @@ def test_space_lists_become_tuples(tmp_path):
 def test_ga_values_are_cast_to_the_defaults_types(tmp_path):
     typed = {"pop_size": 8, "tournament_k": 2, "mutation_rate": 0.25, "elitism": 2}
     loose = {"pop_size": "8", "tournament_k": 2.0, "mutation_rate": "0.25", "elitism": 2.0}
+    # Integral values of int fields in other sections become ints too.
+    typed_train = {"batch_size": 8, "max_episodes": 4, "sample_budget": 32, "learning_rate": 0.01, "seed": 0}
+    loose_train = {"batch_size": 8.0, "max_episodes": "4", "sample_budget": 32, "learning_rate": 0.01, "seed": 0.0}
     runs = []
-    for name, ga in (("typed", typed), ("loose", loose)):
-        path = write_setup(tmp_path, method="ga", extra={"ga": ga})
+    for name, ga, train in (("typed", typed, typed_train), ("loose", loose, loose_train)):
+        path = write_setup(tmp_path, method="ga", train=train, extra={"ga": ga})
         setup = Setup(load_config(str(path)), tmp_path, None)
         assert {k: (v, type(v)) for k, v in setup.ga.items() if k in typed} == {
             k: (v, type(v)) for k, v in typed.items()
+        }
+        assert {k: (v, type(v)) for k, v in vars(setup.train_cfg).items() if k in typed_train} == {
+            k: (v, type(v)) for k, v in typed_train.items()
         }
         assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         runs.append((tmp_path / name / "history.csv").read_bytes())
@@ -232,6 +239,29 @@ def test_fixed_parallelism_out_of_range_is_a_config_error(tmp_path, capsys):
 def test_zero_steps_and_non_finite_numbers_are_config_errors(tmp_path, capsys, section, message, kw):
     # json reads NaN and Infinity; before they were refused, these runs crashed or ended in NaN.
     for method in ("core", "random"):
+        path = write_setup(tmp_path, method=method, **kw)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: config section {section}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, message, kw",
+    [
+        ("'train'", "batch_size must be an integer, got 2.5", dict(train={"batch_size": 2.5})),
+        ("'train'", "sample_budget must be an integer, got 64.5", dict(train={"sample_budget": 64.5})),
+        ("'train'", "max_episodes must be an integer, got 3.5", dict(train={"max_episodes": 3.5})),
+        ("'train'", "seed must be a number, got True", dict(train={"seed": True})),
+        ("'policy'", "input_width must be an integer, got 8.5", dict(extra={"policy": {"input_width": 8.5}})),
+        ("'ga'", "pop_size must be an integer, got 8.7", dict(extra={"ga": {"pop_size": 8.7}})),
+        ("'reward'", "shaping must be true or false, got 'no'", dict(reward={"weights": [-1.0, 0.0], "shaping": "no"})),
+        ("'space'", "vary_level1 must be true or false, got 'false'", dict(space={"n_pe": 8, "vary_level1": "false"})),
+    ],
+)
+def test_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, section, message, kw):
+    # Before, some of these ran (a float budget, a string as a true bool, 8.7 as 8 GA members)
+    # and others ended in an error that named no section, depending on the method.
+    for method in ("core", "ga", "random"):
         path = write_setup(tmp_path, method=method, **kw)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: config section {section}: {message}\n"
@@ -312,6 +342,21 @@ def test_core_run_writes_policy_checkpoint(tmp_path):
     params = load_params(out / "policy.bin")
     assert params.weights[0].shape[1] == 8  # input width from the config
     assert len(read_history(out)) == 32
+
+
+def test_ablation_methods_set_up_their_ablations(tmp_path):
+    # core-no-shaping: every valid design that breaks a constraint scores the flat penalty.
+    path = write_setup(tmp_path, method="core-no-shaping", space={"n_pe": [2, 64, 2], "l1_bytes": 64, "l2_bytes": 512})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert read_summary(tmp_path / "out")["method"] == "core-no-shaping"
+    violating = [r for r in read_history(tmp_path / "out") if r["valid"] == "1" and float(r["violation_sum"]) > 0]
+    assert violating and {float(r["reward"]) for r in violating} == {RewardConfig().no_shaping_penalty}
+    # core-no-scaling: the problem decodes on the declared bounds.
+    problem = Setup(load_config(str(write_setup(tmp_path, method="core-no-scaling"))), tmp_path, None).problem()
+    raws = np.random.default_rng([0]).random((64, problem.n_raw))
+    designs = [problem.decode(r) for r in raws]
+    assert designs == [problem.codesign.decode(r, use_scaling=False) for r in raws]
+    assert designs != [problem.codesign.decode(r) for r in raws]
 
 
 def test_ga_run_derives_generations_from_budget(tmp_path):

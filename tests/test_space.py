@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coredse.space import (
-    BatchDecoder,
     Categorical,
     ConfigurationError,
     CycleError,
@@ -278,69 +277,6 @@ def test_decode_values_category_out_of_range():
 def test_sort_keys_do_not_leak_into_values():
     v = decode_values(_mixed_space(), [0.5, 0, 0.5, 0.5, 0.1, 0.2, 0.3])
     assert "k0" not in v and "ord" in v
-
-
-def _batch_space():
-    """Every decode rule at once: a Select over names and a literal, a
-    literal source, a two-deep scaling chain, bounds that fall below low
-    (n can be negative, and q's low is above p's) and blocks of two sizes."""
-    return ParameterSpace(
-        (
-            ParamSpec("k0", SortKey("ord", 0)),
-            ParamSpec("n", Ranged(-4, 8, 2)),
-            ParamSpec("q", Ranged(2, 40, 2), scaled_by=("p", 12)),
-            ParamSpec("which", Categorical(3)),
-            ParamSpec("t", Ranged(1, 16)),
-            ParamSpec("p", Ranged(1, 16), scaled_by=(Select("which", ("n", 5, "t")),)),
-            ParamSpec("k1", SortKey("ord", 1)),
-            ParamSpec("k2", SortKey("ord", 2)),
-            ParamSpec("j1", SortKey("pair", 1)),
-            ParamSpec("j0", SortKey("pair", 0)),
-        )
-    )
-
-
-def _batch_raws(space, n_rows=3000):
-    rng = np.random.default_rng([7])
-    raws = rng.random((n_rows, len(space.params)))
-    col = space.index
-    raws[:, col["which"]] = rng.uniform(-1.5, 3.5, n_rows)  # int() of -0.5 is 0; 3.x is out of range
-    raws[:, col["k1"]] = np.where(rng.random(n_rows) < 0.3, raws[:, col["k0"]], raws[:, col["k1"]])  # ties
-    raws[::5, col["j0"]] = 0.0
-    raws[::5, col["j1"]] = -0.0
-    for name, value in (("n", np.nan), ("p", np.nan), ("t", np.inf), ("q", -np.inf), ("k2", np.nan),
-                        ("which", np.nan), ("which", np.inf), ("t", 1e308), ("p", -3.0), ("k0", 1e308)):
-        rows = rng.choice(n_rows, 60, replace=False)
-        raws[rows, col[name]] = value
-    return raws
-
-
-@pytest.mark.parametrize("use_scaling", [True, False])
-def test_batch_decoder_matches_decode_values(use_scaling):
-    space = _batch_space()
-    raws = _batch_raws(space)
-    values, orders, ok = BatchDecoder(space, use_scaling)(raws)
-    refused = degenerate = 0
-    for r, raw in enumerate(raws):
-        try:
-            want = decode_values(space, raw, use_scaling=use_scaling)
-        except (ConfigurationError, ShapeError, ValueError, OverflowError):
-            assert not ok[r], r
-            refused += 1
-            continue
-        assert ok[r], r
-        got = {name: int(values[r, space.index[name]]) for name in want if name not in space.blocks}
-        got.update((block, tuple(orders[block][r].tolist())) for block in space.blocks)
-        assert got == want, r
-        degenerate += use_scaling and want["p"] == 1  # q's bound min(p, 12) is below its low 2
-    assert 0 < refused < len(raws) and (degenerate > 0) == use_scaling
-
-
-def test_batch_decoder_refuses_bounds_beyond_exact_integers():
-    with pytest.raises(ConfigurationError):
-        BatchDecoder(ParameterSpace((ParamSpec("big", Ranged(0, 2**60)),)))
-    with pytest.raises(ConfigurationError):
-        BatchDecoder(ParameterSpace((ParamSpec("p", Ranged(1, 8), scaled_by=(2**60,)),)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ SPACES = {
         "reward": {"weights": [-1e-6, 0.0], "alpha_c": 3.0},
     },
 }
+# The same space with level-1 tiles varying too (87 raw parameters), so that
+# the scaled level-1 tile decode runs.
+SPACES["resnet-level1"] = {**SPACES["resnet"], "space": {**SPACES["resnet"]["space"], "vary_level1": True}}
 METHODS = ("core", "core-no-shaping", "core-no-scaling", "ga", "random")
 SMALL = {
     "policy": {"input_width": 64, "hidden_width": 256},
@@ -65,9 +68,11 @@ SMALL = {
 
 def runs():
     """(name, space, method, config sections) of every run, in print order."""
-    for space in SPACES:
+    for space in ("toy", "resnet"):
         for method in METHODS:
             yield f"{space}-{method}", space, method, SMALL
+    for method in ("core", "core-no-scaling", "ga"):
+        yield f"resnet-level1-{method}", "resnet-level1", method, SMALL
     # The default 512/4096 policy, at the benchmark's cli-default-width budget.
     yield "toy-core-default-width", "toy", "core", {"train": {"sample_budget": 128}}
     # Gate 7's run.
