@@ -17,6 +17,7 @@ design's own fields, and the tests check it against decode.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -288,13 +289,27 @@ def _decode_into(m: np.ndarray, raws: np.ndarray, f: _Fields, up) -> np.ndarray:
 # Space construction
 
 def _as_range(name: str, value) -> tuple[int, int, int]:
-    if isinstance(value, int):
-        return (value, value, 1)
-    low, up, step = (int(v) for v in value)
+    """``value`` as a (low, up, step) grid: a number pins the field, and a
+    sequence gives [low, up, step]. Every entry is an integral number and no
+    bool (2.0 gives 2, as `cli._typed` casts), and a pinned value must be one
+    that `validate_config` accepts, or no design could be valid."""
+    parts = (value, value, 1) if isinstance(value, numbers.Real) else value
+    parts = tuple(parts) if isinstance(parts, (tuple, list)) else ()
+    integral = (
+        not isinstance(v, bool) and (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer())
+        for v in parts
+    )
+    if len(parts) != 3 or not all(integral):
+        raise ConfigurationError(f"{name} must be an integer or [low, up, step] of integers, got {value!r}")
+    low, up, step = (int(v) for v in parts)
     if step < 1:
         raise ConfigurationError(f"{name}: step must be >= 1, got {step}")
     if (up - low) % step != 0:
         raise ConfigurationError(f"{name}: span {up - low} not divisible by step {step}")
+    if name == "n_pe" and low == up and not (2 <= low <= MAX_PES and low % 2 == 0):
+        raise ConfigurationError(f"n_pe pinned at {low}, outside even 2..{MAX_PES}, so no design is valid")
+    if name != "n_pe" and low == up and not 1 <= low <= MAX_BUFFER_BYTES:
+        raise ConfigurationError(f"{name} pinned at {low}, outside 1..{MAX_BUFFER_BYTES}, so no design is valid")
     return (low, up, step)
 
 

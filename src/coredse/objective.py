@@ -36,6 +36,11 @@ digammas and the log of its padded categorical probability matrix.  Those
 caches are computed when a `DistributionSet` is built and rely on its arrays
 never being mutated afterwards; a changed set is a new one, from
 `policy.heads_from_raw` or `dataclasses.replace`.
+
+`surrogate_gradients` imports `scipy.special.polygamma` (the trigammas)
+where it uses it, as `policy` does its Beta terms, so that the GA and random
+search, which import this module for its outcome and reward code, never load
+scipy.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import polygamma
 
 from . import policy
 from .policy import DistributionSet
@@ -298,6 +302,8 @@ def surrogate_gradients(dists: DistributionSet, raws, advs, beta_e: float):
     Returns (d_alpha, d_beta, d_logits) where d_logits, shaped as
     `dists.cat_probs`, is already chained through the softmax.
     """
+    from scipy.special import polygamma  # here, not at module level: see the module docstring
+
     batch, advs = _stack_batch(dists, raws, advs)
     E = advs.size
     coef = advs / E

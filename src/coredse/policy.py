@@ -15,6 +15,13 @@ there is no autodiff anywhere.
 `sample` draws a batch of i.i.d. actions from one generator, with one
 `Generator.beta` call for all the Beta heads of the batch and one `random`
 call for all its categorical heads.
+
+`scipy.special` (`betaln`, `digamma`) is imported inside
+`DistributionSet.__post_init__`, the only place that uses it, so it loads
+when a policy first builds its heads. The GA, random search, the oracle and
+`report` never build heads, and run on numpy alone. The import takes about
+as much memory as numpy's, and more start-up time than numpy and the rest of
+this package together.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import betaln, digamma
 
 from .space import Categorical, ParameterSpace, ShapeError
 
@@ -138,6 +144,8 @@ class DistributionSet:
     cat_log_probs: np.ndarray = field(init=False, repr=False, compare=False)  # 0 where p == 0
 
     def __post_init__(self):
+        from scipy.special import betaln, digamma  # here, not at module level: see the module docstring
+
         a, b, p = self.alphas, self.betas, self.cat_probs
         cached = {
             "beta_norm": betaln(a, b),

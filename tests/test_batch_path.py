@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from coredse.costmodel import CostConstants, platform_by_name
-from coredse.design import Layer, SpaceOptions, Workload
+from coredse.design import CoDesignSpace, Layer, SpaceOptions, Workload
 from coredse.objective import RewardConfig, raw_objective, scalar_reward
 from coredse.problems import accelerator_problem
 from coredse.space import Categorical, ConfigurationError, SortKey
@@ -199,7 +199,12 @@ def test_int64_guard_leaves_large_layers_to_the_scalar_path():
     float_bytes = CostConstants(bytes_per_element=2.0)
     assert accelerator_problem(RESNETISH, edge, consts=float_bytes).evaluate_raws is None
     assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=(1, 2**60, 1))).evaluate_raws is None
-    assert accelerator_problem(RESNETISH, edge, SpaceOptions(l2_bytes=2**60)).evaluate_raws is None
+    # A pinned value past 2**53 leaves it scalar too. A pinned buffer that
+    # large is refused when the options are built, but a pinned tile is a layer dim.
+    huge = Workload("huge", (Layer(K=2**54, C=2, X=1, Y=1),))
+    options = SpaceOptions(n_pe=(2, 8, 2), tile_dims=("C",), include_parallel=False, include_order=False)
+    with pytest.raises(ConfigurationError, match=r"l0\.t1\.K: \(18014398509481984,\) is beyond"):
+        CoDesignSpace(huge, options).batch_decoder()
     assert accelerator_problem(RESNETISH, edge).evaluate_raws is not None
 
 

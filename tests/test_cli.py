@@ -268,6 +268,34 @@ def test_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, section, m
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ({"n_pe": [2, 16.5, 2]}, "n_pe must be an integer or [low, up, step] of integers, got (2, 16.5, 2)"),
+        ({"n_pe": True}, "n_pe must be an integer or [low, up, step] of integers, got True"),
+        ({"n_pe": 1}, "n_pe pinned at 1, outside even 2..1024, so no design is valid"),
+        ({"l1_bytes": 0}, "l1_bytes pinned at 0, outside 1..4294967296, so no design is valid"),
+        ({"l2_bytes": [0, 0, 1]}, "l2_bytes pinned at 0, outside 1..4294967296, so no design is valid"),
+    ],
+)
+def test_space_grids_the_type_check_cannot_see_are_config_errors(tmp_path, capsys, space, message):
+    # The grids' defaults are tuples, so `_typed` passes them through. Before,
+    # [2, 16.5, 2] ran as (2, 16, 2), and true, 1 or 0 pinned a value that made
+    # every design invalid, with exit 0.
+    for method in ("core", "random"):
+        path = write_setup(tmp_path, method=method, space={"tile_dims": ["K"], **space})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: config section 'space': {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_space_grids_cast_integral_floats(tmp_path):
+    space = {"n_pe": [2.0, 16, 2.0], "l1_bytes": 4096.0, "l2_bytes": [8192, 8192.0, 1], "tile_dims": ["K"]}
+    path = write_setup(tmp_path, space={**space, "vary_level1": False, "include_order": False})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert read_summary(tmp_path / "out")["best_design"]["l1_bytes"] == 4096
+
+
 def test_unknown_method(tmp_path, capsys):
     path = write_setup(tmp_path, method="anneal")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

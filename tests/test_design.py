@@ -208,6 +208,38 @@ def test_a_step_below_one_is_rejected():
             default_space(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        # Before, int() truncated these, and a bool or a pinned value no design
+        # can have made every design invalid without a word.
+        (dict(n_pe=(2, 16.5, 2)), r"n_pe must be an integer or \[low, up, step\] of integers, got \(2, 16.5, 2\)"),
+        (dict(n_pe=(2.9, 16, 2)), r"got \(2.9, 16, 2\)"),
+        (dict(n_pe=True), "n_pe must be an integer.*got True"),
+        (dict(l2_bytes=(1024, True, 1)), "l2_bytes must be an integer"),
+        (dict(l1_bytes=float("nan")), "l1_bytes must be an integer"),
+        (dict(n_pe=(2, 16)), "n_pe must be an integer"),
+        (dict(n_pe="8"), "n_pe must be an integer"),
+        (dict(n_pe=0), "n_pe pinned at 0, outside even 2..1024"),
+        (dict(n_pe=7), "n_pe pinned at 7, outside even 2..1024"),
+        (dict(n_pe=(2048, 2048, 2)), "n_pe pinned at 2048"),
+        (dict(l1_bytes=0), "l1_bytes pinned at 0, outside 1..4294967296"),
+        (dict(l2_bytes=2**32 + 1), "l2_bytes pinned at 4294967297"),
+    ],
+)
+def test_grids_of_non_integers_or_of_no_valid_pinned_value_are_rejected(kw, match):
+    with pytest.raises(ConfigurationError, match=match):
+        SpaceOptions(**kw)
+
+
+def test_integral_floats_cast_in_grids():
+    cd = default_space(n_pe=(2.0, 16.0, 2), l1_bytes=64.0, l2_bytes=(1024, 4096.0, 1024))
+    assert cd.space.params[cd.space.index["n_pe"]].kind.up == 16
+    assert cd.fixed["l1_bytes"] == 64 and type(cd.fixed["l1_bytes"]) is int
+    # Ranges may still hold values that validate_config refuses; the search learns to avoid them.
+    default_space(n_pe=(0, 16, 2), l1_bytes=(0, 256, 64))
+
+
 def test_bad_fixed_order_rejected():
     with pytest.raises(ConfigurationError):
         CoDesignSpace(small_workload(), SpaceOptions(fixed_order=("K",) * 6))
